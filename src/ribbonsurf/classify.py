@@ -21,11 +21,10 @@ from .errors import (
     InternalInvariantViolation,
     LoopNotContractibleError,
     MalformedWordError,
-    MapError,
     PreconditionError,
     UnknownLabelError,
 )
-from .maps import DartRef, RibbonMap, from_rotation_lists
+from .maps import DartRef, RibbonMap, _check_label, _from_dart_rows
 from .surfaces import face_of_dart, genus, petal, trace_faces
 
 
@@ -136,48 +135,36 @@ class ClassificationResult:
 # -- map-level moves -------------------------------------------------------
 
 
-def _rebuild(rotations_tokens: list) -> RibbonMap:
-    labels = []
-    seen = set()
-    for row in rotations_tokens:
-        for tok in row:
-            lab = tok[:-1]
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-    rows = [row for row in rotations_tokens if row]
-    if not labels:
-        if len(rotations_tokens) > 1:
-            raise InternalInvariantViolation("move isolated several vertices")
-        return from_rotation_lists((), [])
-    if len(rows) != len(rotations_tokens):
-        raise InternalInvariantViolation("move isolated a vertex")
-    return from_rotation_lists(labels, rows)
+def _edge_index(ribbon_map: RibbonMap, label: str) -> int:
+    if label not in ribbon_map.edge_labels:
+        raise UnknownLabelError(f"unknown edge label {label!r}")
+    return ribbon_map.edge_labels.index(label)
+
+
+def _rebuild(ribbon_map: RibbonMap, rows: list) -> RibbonMap:
+    """The map on the surviving darts of ``ribbon_map``, one row per vertex.
+    Edges are renumbered in order of first appearance in the rows."""
+    new_edge = {}
+    for row in rows:
+        for d in row:
+            new_edge.setdefault(d >> 1, len(new_edge))
+    labels = [ribbon_map.edge_labels[k] for k in new_edge]
+    return _from_dart_rows(labels, [[2 * new_edge[d >> 1] + (d & 1) for d in row]
+                                    for row in rows])
 
 
 def delete_edge(ribbon_map: RibbonMap, label: str, check_faces: bool = True) -> RibbonMap:
     """Remove one edge.  With ``check_faces`` the edge's sides must lie on
     distinct faces, which merges them and keeps chi and connectedness."""
-    if label not in ribbon_map.edge_labels:
-        raise UnknownLabelError(f"unknown edge label {label!r}")
+    k = _edge_index(ribbon_map, label)
     if check_faces:
         where = face_of_dart(ribbon_map)
-        d = ribbon_map.dart_index(label + "+")
-        if where[d] == where[d ^ 1]:
+        if where[2 * k] == where[2 * k + 1]:
             raise PreconditionError(
                 f"edge {label!r} has both sides on one face; deleting it "
                 "would not merge faces")
-    rotations = []
-    for v in range(ribbon_map.num_vertices - ribbon_map.num_isolated_vertices):
-        row = [ribbon_map.dart_ref(d).token() for d in ribbon_map.star(v)
-               if ribbon_map.edge_of(d) != label]
-        rotations.append(row)
-    try:
-        result = _rebuild(rotations)
-    except MapError as exc:
-        raise InternalInvariantViolation(
-            f"deleting {label!r} broke the map: {exc}") from exc
-    return result
+    return _rebuild(ribbon_map, [[d for d in star if d >> 1 != k]
+                                 for star in ribbon_map._stars])
 
 
 def delete_face_merging_edge(ribbon_map: RibbonMap):
@@ -208,9 +195,7 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     the head read cyclically from just after the opposite dart; V drops by
     one and F is untouched.
     """
-    if label not in ribbon_map.edge_labels:
-        raise UnknownLabelError(f"unknown edge label {label!r}")
-    d = ribbon_map.dart_index(label + "+")
+    d = 2 * _edge_index(ribbon_map, label)
     dbar = d ^ 1
     u = ribbon_map.vertex_of(d)
     v = ribbon_map.vertex_of(dbar)
@@ -220,22 +205,18 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     at = star_v.index(dbar)
     splice = star_v[at + 1:] + star_v[:at]
     old_faces = len(trace_faces(ribbon_map))
-    rotations = []
-    for w in range(ribbon_map.num_vertices - ribbon_map.num_isolated_vertices):
+    rows = []
+    for w, star in enumerate(ribbon_map._stars):
         if w == v:
             continue
         row = []
-        for x in ribbon_map.star(w):
+        for x in star:
             if x == d:
-                row.extend(ribbon_map.dart_ref(y).token() for y in splice)
+                row.extend(splice)
             else:
-                row.append(ribbon_map.dart_ref(x).token())
-        rotations.append(row)
-    try:
-        result = _rebuild(rotations)
-    except MapError as exc:
-        raise InternalInvariantViolation(
-            f"contracting {label!r} broke the map: {exc}") from exc
+                row.append(x)
+        rows.append(row)
+    result = _rebuild(ribbon_map, rows)
     if result.num_vertices != ribbon_map.num_vertices - 1:
         raise InternalInvariantViolation("contraction changed V by != 1")
     if len(trace_faces(result)) != old_faces:
@@ -295,8 +276,11 @@ def word_to_map(word) -> RibbonMap:
     if not isinstance(word, PolygonWord):
         word = PolygonWord(word)
     n = len(word)
-    if n == 0:
-        return from_rotation_lists((), [])
+    labels = list(dict.fromkeys(ref.label for ref in word.letters))
+    for label in labels:
+        _check_label(label)
+    index = {label: k for k, label in enumerate(labels)}
+    darts = [2 * index[ref.label] + (0 if ref.sign > 0 else 1) for ref in word.letters]
     partner = {}
     other = [0] * n
     for i, ref in enumerate(word.letters):
@@ -307,7 +291,7 @@ def word_to_map(word) -> RibbonMap:
             other[i], other[j] = j, i
     sigma = [(other[i] + 1) % n for i in range(n)]
     seen = [False] * n
-    rotations = []
+    rows = []
     for start in range(n):
         if seen[start]:
             continue
@@ -315,16 +299,10 @@ def word_to_map(word) -> RibbonMap:
         i = start
         while not seen[i]:
             seen[i] = True
-            row.append(word.letters[i].token())
+            row.append(darts[i])
             i = sigma[i]
-        rotations.append(row)
-    labels = []
-    added = set()
-    for ref in word.letters:
-        if ref.label not in added:
-            added.add(ref.label)
-            labels.append(ref.label)
-    return from_rotation_lists(labels, rotations)
+        rows.append(row)
+    return _from_dart_rows(labels, rows)
 
 
 # -- word-level moves ------------------------------------------------------
@@ -610,7 +588,8 @@ def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
     The edgeless sphere admits one insertion: the single loop.
     """
     if ribbon_map.num_edges == 0:
-        return from_rotation_lists([label], [[label + "+", label + "-"]])
+        _check_label(label)
+        return _from_dart_rows([label], [[0, 1]])
     if label in ribbon_map.edge_labels:
         raise PreconditionError(f"label {label!r} already in use")
     faces = trace_faces(ribbon_map)
@@ -618,18 +597,19 @@ def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
     da = face.darts[corner_a % len(face)]
     db = face.darts[corner_b % len(face)]
     old_faces = len(faces)
-    rotations = []
-    for v in range(ribbon_map.num_vertices):
+    new = ribbon_map.num_darts
+    rows = []
+    for star in ribbon_map._stars:
         row = []
-        for x in ribbon_map.star(v):
+        for x in star:
             if x == da:
-                row.append(label + "+")
+                row.append(new)
             if x == db:
-                row.append(label + "-")
-            row.append(ribbon_map.dart_ref(x).token())
-        rotations.append(row)
-    labels = list(ribbon_map.edge_labels) + [label]
-    result = from_rotation_lists(labels, rotations)
+                row.append(new + 1)
+            row.append(x)
+        rows.append(row)
+    _check_label(label)
+    result = _from_dart_rows(ribbon_map.edge_labels + (label,), rows)
     if len(trace_faces(result)) != old_faces + 1:
         raise InternalInvariantViolation("chord insertion did not split the face")
     if result.num_vertices != ribbon_map.num_vertices:
@@ -660,17 +640,15 @@ def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
         arc_a = [star[(i + t) % deg] for t in range((j - i) % deg)]
         arc_b = [star[(j + t) % deg] for t in range((i - j) % deg)]
     old_faces = len(trace_faces(ribbon_map))
-    rotations = []
-    for v in range(ribbon_map.num_vertices):
+    new = ribbon_map.num_darts
+    rows = []
+    for v, star in enumerate(ribbon_map._stars):
         if v == vertex:
-            row_a = [ribbon_map.dart_ref(x).token() for x in arc_a] + [label + "+"]
-            row_b = [ribbon_map.dart_ref(x).token() for x in arc_b] + [label + "-"]
-            rotations.extend((row_a, row_b))
+            rows.extend((arc_a + [new], arc_b + [new + 1]))
         else:
-            rotations.append([ribbon_map.dart_ref(x).token()
-                              for x in ribbon_map.star(v)])
-    labels = list(ribbon_map.edge_labels) + [label]
-    result = from_rotation_lists(labels, rotations)
+            rows.append(star)
+    _check_label(label)
+    result = _from_dart_rows(ribbon_map.edge_labels + (label,), rows)
     if result.num_vertices != ribbon_map.num_vertices + 1:
         raise InternalInvariantViolation("vertex split changed V by != 1")
     if len(trace_faces(result)) != old_faces:

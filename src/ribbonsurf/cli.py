@@ -3,7 +3,8 @@
 Every subcommand prints a deterministic payload: byte-stable JSON documents
 for anything that produces a map, plain ``key: value`` lines otherwise.
 Exit codes: 0 success, 1 domain error (bad input, failed validation),
-2 usage error.
+2 usage error, 3 internal error (a failed consistency check: a bug in
+ribbonsurf, reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .classify import (
     classify,
     random_filling_map,
 )
-from .errors import PreconditionError, RibbonError
+from .errors import InternalInvariantViolation, PreconditionError, RibbonError
 from .groups import (
     DiscretePath,
     Presentation,
@@ -346,6 +347,8 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(1, f"error: {exc}")
     except IndexError as exc:
         return CommandResult(1, f"error: {exc}")
+    except InternalInvariantViolation as exc:
+        return CommandResult(3, f"internal error: {exc}")
 
 
 def main() -> None:

@@ -147,8 +147,8 @@ def _surface_shape_genus(pres: Presentation) -> Optional[int]:
 def solver_kind(pres: Presentation) -> str:
     """Which decision procedure fits: 'free', 'abelian', or 'dehn'.
 
-    Raises UnsupportedPresentationError for any other shape, mirroring
-    is_trivial_word's dispatch.
+    Raises UnsupportedPresentationError for any other shape.
+    is_trivial_word dispatches through it.
     """
     if not pres.relators:
         return "free"
@@ -215,18 +215,10 @@ def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:
     w = free_reduce(word)
     if not w:
         return True
-    if not pres.relators:
+    kind = solver_kind(pres)
+    if kind == "free":
         return False
-    g = pres.genus_hint
-    if g is not None and _surface_shape_genus(pres) != g:
-        raise UnsupportedPresentationError(
-            "genus_hint does not match the presentation shape")
-    if g is None:
-        g = _surface_shape_genus(pres)
-    if g is None:
-        raise UnsupportedPresentationError(
-            "solver handles free and standard surface presentations only")
-    if g == 1:
+    if kind == "abelian":
         return not any(exponent_sums(w, pres.generators))
     return _dehn_trivial(w, pres.relators[0])
 
@@ -321,10 +313,6 @@ def path_endpoints(ribbon_map: RibbonMap, path: DiscretePath) -> tuple:
             raise PreconditionError("darts do not chain tail to head")
         at = ribbon_map.vertex_of(d ^ 1)
     return tail, at
-
-
-def inverse_path(path: DiscretePath) -> DiscretePath:
-    return DiscretePath(tuple(d ^ 1 for d in reversed(path.darts)), None)
 
 
 def path_word(ribbon_map: RibbonMap, path: DiscretePath,

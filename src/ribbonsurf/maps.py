@@ -19,6 +19,7 @@ from .errors import (
     DisconnectedError,
     DuplicateDartError,
     DuplicateLabelError,
+    InternalInvariantViolation,
     MapError,
     MissingDartError,
     UnknownLabelError,
@@ -43,6 +44,11 @@ class DartRef(NamedTuple):
 DartLike = Union[str, DartRef, tuple]
 
 
+def _check_label(label) -> None:
+    if not isinstance(label, str) or not LABEL_PATTERN.match(label):
+        raise MapError(f"bad edge label {label!r}")
+
+
 def parse_dart_token(token: DartLike) -> DartRef:
     """Normalize a dart given as "a+"/"a-" text, a DartRef, or a pair."""
     if isinstance(token, DartRef):
@@ -53,8 +59,7 @@ def parse_dart_token(token: DartLike) -> DartRef:
         ref = DartRef(token[:-1], 1 if token[-1] == "+" else -1)
     else:
         raise MapError(f"bad dart token {token!r}: expected '<label>+' or '<label>-'")
-    if not isinstance(ref.label, str) or not LABEL_PATTERN.match(ref.label):
-        raise MapError(f"bad edge label {ref.label!r}")
+    _check_label(ref.label)
     if ref.sign not in (1, -1):
         raise MapError(f"bad dart sign {ref.sign!r} for label {ref.label!r}")
     return ref
@@ -93,9 +98,10 @@ _ISSUE_EXCEPTIONS = {
 class RibbonMap:
     """An immutable connected map: labelled edges plus a rotation permutation.
 
-    Instances are built through :func:`from_rotation_lists`; the constructor
-    trusts its arguments.  Vertices are indexed 0..V-1 in order of their
-    smallest dart, and each star tuple starts at that dart.
+    Instances are built from dart tokens by :func:`from_rotation_lists`, and
+    inside the library from integer dart rows by :func:`_from_dart_rows`;
+    the constructor trusts its arguments.  Vertices are indexed 0..V-1 in
+    order of their smallest dart, and each star tuple starts at that dart.
     """
 
     __slots__ = ("edge_labels", "sigma", "num_isolated_vertices",
@@ -235,9 +241,26 @@ def _sigma_orbits(sigma: Sequence[int]):
     return tuple(stars), tuple(vertex_of)
 
 
-def validate_rotation_lists(edge_labels: Sequence[str],
-                            rotations: Sequence[Sequence[DartLike]]) -> ValidationReport:
-    """Check a proposed rotation system and report every problem found."""
+def _reached(sigma: Sequence[int]) -> int:
+    """How many darts the group <sigma, iota> reaches from dart 0."""
+    seen = [False] * len(sigma)
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        d = stack.pop()
+        for nxt in (sigma[d], d ^ 1):
+            if not seen[nxt]:
+                seen[nxt] = True
+                count += 1
+                stack.append(nxt)
+    return count
+
+
+def _parse_rotation_lists(edge_labels: Sequence[str],
+                          rotations: Sequence[Sequence[DartLike]]):
+    """(report, sigma): every problem found, and the rotation read off the
+    tokens once they all parse and the map has edges (else None)."""
     report = ValidationReport()
     labels = list(edge_labels)
     seen_labels = set()
@@ -249,7 +272,7 @@ def validate_rotation_lists(edge_labels: Sequence[str],
         else:
             seen_labels.add(lab)
     if not report.ok:
-        return report
+        return report, None
 
     label_index = {lab: k for k, lab in enumerate(labels)}
     n = 2 * len(labels)
@@ -286,38 +309,33 @@ def validate_rotation_lists(edge_labels: Sequence[str],
             report.add("MissingDart", f"dart {lab}{side} appears in no rotation")
     if not report.ok and any(code in ("DuplicateDart", "MissingDart", "UnknownLabel",
                                       "BadToken") for code, _ in report.issues):
-        return report
+        return report, None
 
     if n == 0:
         # Edgeless sphere: at most one (empty) vertex.
         if len(rotations) > 1:
             report.add("Disconnected", "edgeless map may have only one vertex")
-        return report
+        return report, None
     if empty_rotations:
         report.add("IsolatedVertex",
                    "isolated vertices are only allowed in the edgeless map")
-        return report
+        return report, None
 
-    # Connectivity under <sigma, iota>.
     sigma = [0] * n
     for row in parsed:
         for i, dart in enumerate(row):
             sigma[dart] = row[(i + 1) % len(row)]
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        d = stack.pop()
-        for nxt in (sigma[d], d ^ 1):
-            if not seen[nxt]:
-                seen[nxt] = True
-                count += 1
-                stack.append(nxt)
+    count = _reached(sigma)
     if count != n:
         report.add("Disconnected",
                    f"map splits into components ({count} of {n} darts reached)")
-    return report
+    return report, sigma
+
+
+def validate_rotation_lists(edge_labels: Sequence[str],
+                            rotations: Sequence[Sequence[DartLike]]) -> ValidationReport:
+    """Check a proposed rotation system and report every problem found."""
+    return _parse_rotation_lists(edge_labels, rotations)[0]
 
 
 def from_rotation_lists(edge_labels: Sequence[str],
@@ -327,23 +345,44 @@ def from_rotation_lists(edge_labels: Sequence[str],
     ``rotations`` holds one dart sequence per vertex, each in cyclic
     successor order.  Raises the error for the first validation issue.
     """
-    report = validate_rotation_lists(edge_labels, rotations)
+    labels = tuple(edge_labels)
+    report, sigma = _parse_rotation_lists(labels, rotations)
     if not report.ok:
         code, message = report.issues[0]
         raise _ISSUE_EXCEPTIONS.get(code, MapError)(message)
-    labels = tuple(edge_labels)
     if not labels:
         return RibbonMap((), (), num_isolated_vertices=1)
-    label_index = {lab: k for k, lab in enumerate(labels)}
-    sigma = [0] * (2 * len(labels))
-    for rotation in rotations:
-        row = []
-        for token in rotation:
-            ref = parse_dart_token(token)
-            row.append(2 * label_index[ref.label] + (0 if ref.sign > 0 else 1))
-        for i, dart in enumerate(row):
-            sigma[dart] = row[(i + 1) % len(row)]
     return RibbonMap(labels, sigma)
+
+
+def _from_dart_rows(edge_labels: Sequence[str], rows) -> RibbonMap:
+    """Build a map from integer dart rows, one per vertex in cyclic order.
+
+    For maps the library computes itself: the labels are trusted, and rows
+    that do not form a connected rotation system are a bug here, so every
+    failed check raises InternalInvariantViolation.
+    """
+    n = 2 * len(edge_labels)
+    if n == 0:
+        if len(rows) > 1 or any(rows):
+            raise InternalInvariantViolation("edgeless map needs one empty vertex")
+        return RibbonMap((), (), num_isolated_vertices=1)
+    sigma = [None] * n
+    for row in rows:
+        if not row:
+            raise InternalInvariantViolation("isolated vertex in a map with edges")
+        for dart, nxt in zip(row, row[1:] + row[:1]):
+            if not 0 <= dart < n or sigma[dart] is not None:
+                raise InternalInvariantViolation(
+                    f"dart {dart} placed twice or out of range")
+            sigma[dart] = nxt
+    if None in sigma:
+        raise InternalInvariantViolation(f"dart {sigma.index(None)} placed in no row")
+    count = _reached(sigma)
+    if count != n:
+        raise InternalInvariantViolation(
+            f"rows split into components ({count} of {n} darts reached)")
+    return RibbonMap(edge_labels, sigma)
 
 
 def degree(ribbon_map: RibbonMap, vertex: int) -> int:
@@ -359,12 +398,9 @@ def relabeled(ribbon_map: RibbonMap, mapping: dict) -> RibbonMap:
     new_labels = [mapping[lab] for lab in ribbon_map.edge_labels]
     if len(set(new_labels)) != len(new_labels):
         raise DuplicateLabelError("label mapping is not injective")
-    rotations = [[DartRef(mapping[ribbon_map.edge_of(d)],
-                          -1 if d & 1 else 1).token() for d in star]
-                 for star in ribbon_map._stars]
-    if ribbon_map.num_isolated_vertices:
-        rotations.append([])
-    return from_rotation_lists(new_labels, rotations)
+    for lab in new_labels:
+        _check_label(lab)
+    return RibbonMap(new_labels, ribbon_map.sigma, ribbon_map.num_isolated_vertices)
 
 
 def refine(ribbon_map: RibbonMap) -> RibbonMap:
@@ -380,15 +416,9 @@ def refine(ribbon_map: RibbonMap) -> RibbonMap:
     new_labels = []
     for lab in ribbon_map.edge_labels:
         new_labels.extend((lab + "_1", lab + "_2"))
-    rotations = []
-    for star in ribbon_map._stars:
-        row = []
-        for d in star:
-            lab = ribbon_map.edge_of(d)
-            # Forward dart leaves along the tail half; backward dart leaves
-            # along the head half, travelling it against its orientation.
-            row.append(lab + "_1+" if d & 1 == 0 else lab + "_2-")
-        rotations.append(row)
-    for lab in ribbon_map.edge_labels:
-        rotations.append([lab + "_1-", lab + "_2+"])
-    return from_rotation_lists(new_labels, rotations)
+    # Edge k's forward dart 2k leaves along the tail half as e_1+ = 4k; its
+    # backward dart leaves along the head half, travelling it against its
+    # orientation, as e_2- = 4k+3.  Midpoint k is (e_1-, e_2+) = (4k+1, 4k+2).
+    rows = [[2 * d + (d & 1) for d in star] for star in ribbon_map._stars]
+    rows += [[4 * k + 1, 4 * k + 2] for k in range(ribbon_map.num_edges)]
+    return _from_dart_rows(new_labels, rows)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyMapError, InternalInvariantViolation, PreconditionError
-from .maps import RibbonMap, from_rotation_lists
+from .errors import InternalInvariantViolation, PreconditionError
+from .maps import RibbonMap, _from_dart_rows
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ def trace_faces(ribbon_map: RibbonMap) -> list:
     if ribbon_map.num_edges == 0:
         return [Face(())]
     n = ribbon_map.num_darts
+    sigma = ribbon_map.sigma
     seen = [False] * n
     faces = []
     for start in range(n):
@@ -60,7 +61,7 @@ def trace_faces(ribbon_map: RibbonMap) -> list:
         while not seen[d]:
             seen[d] = True
             orbit.append(d)
-            d = face_successor(ribbon_map, d)
+            d = sigma[d ^ 1]
         if d != start:
             raise InternalInvariantViolation("face walk left its orbit")
         faces.append(Face(tuple(orbit)))
@@ -129,19 +130,8 @@ def petal(g: int) -> RibbonMap:
     petal(0) is the edgeless sphere map.
     """
     labels = standard_pair_labels(g)
-    if not labels:
-        return from_rotation_lists((), [])
+    # Petal i owns darts 4i..4i+3: a_i+, a_i-, b_i+, b_i-.
     rotation = []
-    for i in range(g):
-        a, b = labels[2 * i], labels[2 * i + 1]
-        rotation.extend((a + "+", b + "-", a + "-", b + "+"))
-    return from_rotation_lists(labels, [rotation])
-
-
-def is_filling_one_face(ribbon_map: RibbonMap) -> bool:
-    return len(trace_faces(ribbon_map)) == 1
-
-
-def require_nonempty(ribbon_map: RibbonMap) -> None:
-    if ribbon_map.num_edges == 0:
-        raise EmptyMapError("operation needs a map with at least one edge")
+    for i in range(0, 4 * g, 4):
+        rotation.extend((i, i + 3, i + 1, i + 2))
+    return _from_dart_rows(labels, [rotation])

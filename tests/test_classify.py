@@ -4,13 +4,19 @@ import pytest
 
 from ribbonsurf import (
     Cancel,
+    ContractEdge,
     CutGlue,
+    DartRef,
+    DeleteEdge,
     LoopNotContractibleError,
     MalformedWordError,
+    MapError,
+    MoveTrace,
     PolygonWord,
     PreconditionError,
     classify,
     contract_edge,
+    delete_edge,
     delete_face_merging_edge,
     euler_characteristic,
     format_word,
@@ -23,11 +29,14 @@ from ribbonsurf import (
     polygon_word,
     random_filling_map,
     reduce_to_one_vertex_one_face,
+    refine,
+    relabeled,
     replay,
     split_vertex,
     trace_faces,
     word_to_map,
 )
+from ribbonsurf import maps
 from util import corpus
 
 
@@ -191,6 +200,30 @@ def test_split_vertex_adds_vertex_keeps_faces():
     assert genus(bigger) == 1
 
 
+def test_new_edge_labels_are_checked():
+    for m in (petal(1), from_rotation_lists([], [[]])):
+        with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
+            insert_edge(m, "1x", 0, 0, 1)
+    with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
+        split_vertex(petal(1), "1x", 0, 1, 3)
+    with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
+        word_to_map(PolygonWord([("1x", 1), ("1x", -1)]))
+
+
+def test_moves_edit_darts_without_tokens(monkeypatch):
+    def no_tokens(*args):
+        raise AssertionError("dart tokens used inside a move")
+
+    monkeypatch.setattr(maps, "parse_dart_token", no_tokens)
+    monkeypatch.setattr(DartRef, "token", no_tokens)
+    m = random_filling_map(2, 12, 5)
+    relabeled(m, {lab: lab.upper() for lab in m.edge_labels})
+    refine(m)
+    reduced, trace = reduce_to_one_vertex_one_face(m)
+    assert len(trace) and reduced.num_vertices == 1
+    assert word_to_map(polygon_word(reduced)).num_edges == reduced.num_edges
+
+
 def test_random_filling_map_deterministic():
     a = random_filling_map(2, 10, 42)
     b = random_filling_map(2, 10, 42)
@@ -226,3 +259,59 @@ def test_linked_pairs_exist_in_polygon_words():
             outside = ({letters[i].label for i in range(0, lo)}
                        | {letters[i].label for i in range(hi + 1, len(letters))}) - {lab}
             assert inside & outside, f"edge {lab} is unlinked in {word.tokens()}"
+
+
+# (genus, moves, seed) -> (edge labels of the random map, canonical word,
+# classify's trace with the edge labels left after each map move).  The
+# reduction deletes and contracts by edge order, so this pins the order as
+# well as the moves.
+PINNED = {
+    (1, 6, 3): ("a b e1 e2 e3 e4 e5 e6", "e6 e1 e6' e1'", [
+        (DeleteEdge("a"), "e1 b e4 e5 e2 e3 e6"),
+        (DeleteEdge("e4"), "e1 e5 e2 b e6 e3"),
+        (DeleteEdge("e5"), "e1 e2 b e3 e6"),
+        (ContractEdge("e2"), "e1 b e3 e6"),
+        (ContractEdge("b"), "e1 e3 e6"),
+        (ContractEdge("e3"), "e1 e6"),
+    ]),
+    (2, 7, 11): ("a b c d e1 e2 e3 e4 e5 e6 e7",
+                 "z1 z2 z1' z2' z3 z4 z3' z4'", [
+        (DeleteEdge("b"), "a e1 e7 e3 e4 e2 e5 e6 c d"),
+        (DeleteEdge("e7"), "a e1 e3 e4 e2 e5 e6 c d"),
+        (DeleteEdge("e3"), "a e1 e4 e2 e5 e6 c d"),
+        (DeleteEdge("e4"), "a e1 e2 e5 e6 c d"),
+        (ContractEdge("e2"), "a e1 c e5 e6 d"),
+        (ContractEdge("c"), "a e1 d e5 e6"),
+        (ContractEdge("e6"), "a e1 d e5"),
+        (CutGlue("z1", "d", (0, 4), -1), None),
+        (CutGlue("z2", "a", (2, 6), 1), None),
+        (CutGlue("z3", "e1", (0, 7), -1), None),
+        (CutGlue("z4", "e5", (1, 0), 1), None),
+    ]),
+    (0, 5, 7): ("e1 e2 e3 e4 e5", None, [
+        (DeleteEdge("e1"), "e5 e4 e2 e3"),
+        (DeleteEdge("e4"), "e5 e2 e3"),
+        (ContractEdge("e5"), "e2 e3"),
+        (ContractEdge("e2"), "e3"),
+        (ContractEdge("e3"), ""),
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_trace_and_edge_order(key):
+    labels, word, steps = PINNED[key]
+    m = random_filling_map(*key)
+    assert " ".join(m.edge_labels) == labels
+    result = classify(m)
+    assert result.trace == MoveTrace(tuple(move for move, _ in steps))
+    assert (format_word(result.canonical_word)
+            if result.canonical_word else None) == word
+    for move, after in steps:
+        if isinstance(move, DeleteEdge):
+            m = delete_edge(m, move.label)
+        elif isinstance(move, ContractEdge):
+            m = contract_edge(m, move.label)
+        else:
+            continue
+        assert " ".join(m.edge_labels) == after, move

@@ -3,8 +3,14 @@ import pathlib
 
 import pytest
 
-from ribbonsurf.cli import dispatch, parse_group_spec
-from ribbonsurf import PreconditionError, free_presentation, surface_group
+from ribbonsurf import cli
+from ribbonsurf.cli import CommandResult, dispatch, parse_group_spec
+from ribbonsurf import (
+    InternalInvariantViolation,
+    PreconditionError,
+    free_presentation,
+    surface_group,
+)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -131,6 +137,15 @@ def test_exit_codes():
     assert dispatch(["genus"]).exit_code == 2
     assert dispatch(["unknown-command"]).exit_code == 2
     assert dispatch([]).exit_code == 2
+
+
+def test_internal_errors_are_reported_as_bugs(monkeypatch):
+    def broken(args):
+        raise InternalInvariantViolation("faces do not partition the darts")
+
+    monkeypatch.setitem(cli._RUNNERS, "genus", broken)
+    assert dispatch(["genus", doc("theta.json")]) == CommandResult(
+        3, "internal error: faces do not partition the darts")
 
 
 def test_stdin_input(monkeypatch, capsys):

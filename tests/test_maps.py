@@ -9,6 +9,8 @@ from ribbonsurf import (
     DisconnectedError,
     DuplicateDartError,
     DuplicateLabelError,
+    InternalInvariantViolation,
+    MapError,
     MissingDartError,
     UnknownLabelError,
     degree,
@@ -20,6 +22,8 @@ from ribbonsurf import (
     surface_report,
     validate_rotation_lists,
 )
+from ribbonsurf import maps
+from ribbonsurf.maps import _from_dart_rows
 from util import corpus, scramble
 
 
@@ -94,6 +98,38 @@ def test_constructor_raises_matching_exceptions():
         from_rotation_lists(["a", "b"], [["a+", "a-"], ["b+", "b-"]])
 
 
+def test_from_rotation_lists_parses_each_token_once(monkeypatch):
+    parsed = []
+
+    def counting(token):
+        parsed.append(token)
+        return parse_dart_token(token)
+
+    monkeypatch.setattr(maps, "parse_dart_token", counting)
+    theta()
+    assert sorted(parsed) == ["e1+", "e1-", "e2+", "e2-", "e3+", "e3-"]
+
+
+def test_internal_constructor_matches_token_constructor():
+    m = _from_dart_rows(("e1", "e2", "e3"), [[0, 2, 4], [1, 5, 3]])
+    assert m.edge_labels == theta().edge_labels
+    assert m.sigma == theta().sigma
+    assert _from_dart_rows((), []).num_vertices == 1
+
+
+@pytest.mark.parametrize("labels, rows", [
+    (("a",), [[0, 1, 0]]),           # a dart placed twice
+    (("a", "b"), [[0, 1, 2]]),       # dart 3 placed in no row
+    (("a",), [[0, 1, 2]]),           # dart 2 out of range
+    (("a",), [[0, 1], []]),          # an empty row: isolated vertex
+    (("a", "b"), [[0, 1], [2, 3]]),  # two components
+    ((), [[], []]),                  # edgeless map with two vertices
+])
+def test_internal_constructor_rejects_broken_rows(labels, rows):
+    with pytest.raises(InternalInvariantViolation):
+        _from_dart_rows(labels, rows)
+
+
 def test_edgeless_map():
     m = from_rotation_lists([], [[]])
     assert m.num_edges == 0 and m.num_vertices == 1
@@ -117,6 +153,8 @@ def test_relabeled_preserves_structure():
         relabeled(m, {"a": "x", "b": "x", "c": "y", "d": "z"})
     with pytest.raises(UnknownLabelError):
         relabeled(m, {"a": "x"})
+    with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
+        relabeled(m, {"a": "p", "b": "1x", "c": "r", "d": "s"})
 
 
 def test_refine_doubles_edges_and_keeps_genus():
