@@ -153,18 +153,39 @@ def _rebuild(ribbon_map: RibbonMap, rows: list) -> RibbonMap:
                                     for row in rows])
 
 
-def delete_edge(ribbon_map: RibbonMap, label: str, check_faces: bool = True) -> RibbonMap:
-    """Remove one edge.  With ``check_faces`` the edge's sides must lie on
-    distinct faces, which merges them and keeps chi and connectedness."""
-    k = _edge_index(ribbon_map, label)
-    if check_faces:
-        where = face_of_dart(ribbon_map)
-        if where[2 * k] == where[2 * k + 1]:
-            raise PreconditionError(
-                f"edge {label!r} has both sides on one face; deleting it "
-                "would not merge faces")
+def _without_edge(ribbon_map: RibbonMap, k: int) -> RibbonMap:
     return _rebuild(ribbon_map, [[d for d in star if d >> 1 != k]
                                  for star in ribbon_map._stars])
+
+
+def delete_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
+    """Remove one edge whose sides lie on distinct faces, merging them; chi
+    and connectedness are kept."""
+    k = _edge_index(ribbon_map, label)
+    where = face_of_dart(ribbon_map)
+    if where[2 * k] == where[2 * k + 1]:
+        raise PreconditionError(
+            f"edge {label!r} has both sides on one face; deleting it "
+            "would not merge faces")
+    return _without_edge(ribbon_map, k)
+
+
+def _delete_face_merging_edge(ribbon_map: RibbonMap, faces: list):
+    """delete_face_merging_edge given the map's faces; a step also returns
+    the faces of the new map, which the F - 1 check traced."""
+    if ribbon_map.num_edges == 0:
+        return None
+    where = face_of_dart(ribbon_map, faces)
+    for k, label in enumerate(ribbon_map.edge_labels):
+        if where[2 * k] != where[2 * k + 1]:
+            result = _without_edge(ribbon_map, k)
+            result_faces = trace_faces(result)
+            if len(result_faces) != len(faces) - 1:
+                raise InternalInvariantViolation("face deletion changed F by != 1")
+            if result.num_vertices != ribbon_map.num_vertices:
+                raise InternalInvariantViolation("face deletion changed V")
+            return result, label, result_faces
+    return None
 
 
 def delete_face_merging_edge(ribbon_map: RibbonMap):
@@ -173,28 +194,13 @@ def delete_face_merging_edge(ribbon_map: RibbonMap):
     Returns (new map, deleted label), or None when every edge has both
     sides on one face -- in particular whenever F = 1.
     """
-    if ribbon_map.num_edges == 0:
-        return None
-    where = face_of_dart(ribbon_map)
-    old_faces = max(where) + 1
-    for k, label in enumerate(ribbon_map.edge_labels):
-        if where[2 * k] != where[2 * k + 1]:
-            result = delete_edge(ribbon_map, label, check_faces=False)
-            if len(trace_faces(result)) != old_faces - 1:
-                raise InternalInvariantViolation("face deletion changed F by != 1")
-            if result.num_vertices != ribbon_map.num_vertices:
-                raise InternalInvariantViolation("face deletion changed V")
-            return result, label
-    return None
+    step = _delete_face_merging_edge(ribbon_map, trace_faces(ribbon_map))
+    return None if step is None else step[:2]
 
 
-def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
-    """Contract a non-loop edge, merging its endpoints.
-
-    In the rotation at the tail, the edge's dart is replaced by the star of
-    the head read cyclically from just after the opposite dart; V drops by
-    one and F is untouched.
-    """
+def _contract_edge(ribbon_map: RibbonMap, label: str, old_faces: int):
+    """contract_edge given the map's face count; also returns the faces of
+    the result, which the F check traced."""
     d = 2 * _edge_index(ribbon_map, label)
     dbar = d ^ 1
     u = ribbon_map.vertex_of(d)
@@ -204,7 +210,6 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     star_v = ribbon_map.star(v)
     at = star_v.index(dbar)
     splice = star_v[at + 1:] + star_v[:at]
-    old_faces = len(trace_faces(ribbon_map))
     rows = []
     for w, star in enumerate(ribbon_map._stars):
         if w == v:
@@ -219,30 +224,43 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     result = _rebuild(ribbon_map, rows)
     if result.num_vertices != ribbon_map.num_vertices - 1:
         raise InternalInvariantViolation("contraction changed V by != 1")
-    if len(trace_faces(result)) != old_faces:
+    result_faces = trace_faces(result)
+    if len(result_faces) != old_faces:
         raise InternalInvariantViolation("contraction changed F")
-    return result
+    return result, result_faces
+
+
+def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
+    """Contract a non-loop edge, merging its endpoints.
+
+    In the rotation at the tail, the edge's dart is replaced by the star of
+    the head read cyclically from just after the opposite dart; V drops by
+    one and F is untouched.
+    """
+    return _contract_edge(ribbon_map, label, len(trace_faces(ribbon_map)))[0]
 
 
 def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
     """Delete face-merging edges until one face remains, then contract
-    non-loop edges until one vertex remains.  Returns (map, MoveTrace)."""
+    non-loop edges until one vertex remains.  Returns (map, MoveTrace).
+    Each map along the way is traced once; its faces are handed on."""
     moves = []
     current = ribbon_map
+    faces = trace_faces(current)
     while True:
-        step = delete_face_merging_edge(current)
+        step = _delete_face_merging_edge(current, faces)
         if step is None:
             break
-        current, label = step
+        current, label, faces = step
         moves.append(DeleteEdge(label))
     if current.num_edges:
-        if len(trace_faces(current)) != 1:
+        if len(faces) != 1:
             raise InternalInvariantViolation(
                 "several faces left but no edge separates two of them")
         while current.num_vertices > 1:
             for k, label in enumerate(current.edge_labels):
                 if current.vertex_of(2 * k) != current.vertex_of(2 * k + 1):
-                    current = contract_edge(current, label)
+                    current, faces = _contract_edge(current, label, len(faces))
                     moves.append(ContractEdge(label))
                     break
             else:

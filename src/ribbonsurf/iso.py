@@ -3,10 +3,10 @@
 Two maps are isomorphic when some dart bijection commutes with both the
 rotation and the edge involution; edge labels carry no weight.  Orientation
 is part of the structure: mirror images (rotations read against sigma) do
-not count.  A canonical byte encoding is computed by relabelling darts in
-breadth-first discovery order from every possible root and keeping the
-smallest image, so two maps are isomorphic exactly when their encodings are
-equal byte for byte.
+not count.  The canonical byte encoding is the least image of a BFS
+relabelling over all roots; a root is dropped once its image exceeds the
+best, which keeps the bytes and prunes most roots after a few darts.  Two
+maps are isomorphic exactly when their encodings are equal byte for byte.
 """
 
 from __future__ import annotations
@@ -38,41 +38,41 @@ class DartBijection:
                    for d in range(n))
 
 
-def _bfs_relabel(ribbon_map: RibbonMap, root: int) -> list:
-    """Dart -> discovery index, walking sigma first, then iota."""
-    n = ribbon_map.num_darts
-    order = [-1] * n
-    order[root] = 0
-    count = 1
-    queue = deque([root])
-    sigma = ribbon_map.sigma
-    while queue:
-        d = queue.popleft()
-        for nxt in (sigma[d], d ^ 1):
-            if order[nxt] < 0:
-                order[nxt] = count
-                count += 1
-                queue.append(nxt)
-    return order
-
-
-def _encoding_from(ribbon_map: RibbonMap, root: int) -> bytes:
-    order = _bfs_relabel(ribbon_map, root)
-    n = ribbon_map.num_darts
-    sigma_new = [0] * n
-    iota_new = [0] * n
-    for d in range(n):
-        sigma_new[order[d]] = order[ribbon_map.sigma[d]]
-        iota_new[order[d]] = order[d ^ 1]
-    return b"".join(v.to_bytes(4, "big") for v in sigma_new + iota_new)
-
-
 def canonical_encoding(ribbon_map: RibbonMap) -> bytes:
-    """The least BFS encoding over all roots; invariant under relabelling."""
+    """The least BFS encoding over all roots; invariant under relabelling.
+
+    BFS pops darts in discovery order, so entry k of the relabelled sigma is
+    known when dart k is popped.  A root stops at the first entry above the
+    best root's; only one whose sigma ties or wins builds its iota.  The bytes
+    equal the unpruned minimum: sigma then iota, 4-byte big-endian entries.
+    """
     if ribbon_map.num_edges == 0:
         raise EmptyMapError("the edgeless map has no darts to encode")
-    return min(_encoding_from(ribbon_map, root)
-               for root in range(ribbon_map.num_darts))
+    sigma = ribbon_map.sigma
+    order = [-1] * ribbon_map.num_darts
+    best = None
+    for root in range(ribbon_map.num_darts):
+        order[root] = 0
+        queue = [root]  # discovery order; iterating it pops the darts
+        sigma_seq = []
+        tied = best is not None
+        for d in queue:
+            for nxt in (sigma[d], d ^ 1):
+                if order[nxt] < 0:
+                    order[nxt] = len(queue)
+                    queue.append(nxt)
+            s = order[sigma[d]]
+            if tied:
+                if s > best[0][len(sigma_seq)]:
+                    break
+                tied = s == best[0][len(sigma_seq)]
+            sigma_seq.append(s)
+        else:
+            candidate = (sigma_seq, [order[d ^ 1] for d in queue])
+            best = candidate if best is None else min(best, candidate)
+        for d in queue:
+            order[d] = -1
+    return b"".join(v.to_bytes(4, "big") for v in best[0] + best[1])
 
 
 def _quick_mismatch(a: RibbonMap, b: RibbonMap) -> bool:

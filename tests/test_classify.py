@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -83,6 +84,32 @@ def test_delete_move_merges_two_faces():
 
 def test_delete_move_absent_on_one_face_maps():
     assert delete_face_merging_edge(petal(2)) is None
+
+
+def test_delete_edge_rejects_bridges():
+    path = from_rotation_lists(["a", "b"], [["a+"], ["a-", "b+"], ["b-"]])
+    for label in ("a", "b"):
+        with pytest.raises(PreconditionError, match="both sides on one face"):
+            delete_edge(path, label)
+    with pytest.raises(TypeError):
+        delete_edge(path, "a", check_faces=False)
+
+
+def test_reduction_traces_each_map_once(monkeypatch):
+    classify_module = importlib.import_module("ribbonsurf.classify")
+    calls = []
+
+    def counted(ribbon_map):
+        calls.append(ribbon_map)
+        return trace_faces(ribbon_map)
+
+    monkeypatch.setattr(classify_module, "trace_faces", counted)
+    for _, m in corpus(20, seed=4):
+        calls.clear()
+        reduced, trace = reduce_to_one_vertex_one_face(m)
+        assert len(calls) == len(trace) + 1
+        assert len({id(c) for c in calls}) == len(calls)
+        assert reduced in calls
 
 
 def test_contract_move_merges_two_vertices():

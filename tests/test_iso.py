@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonsurf import (
     EmptyMapError,
@@ -8,10 +9,28 @@ from ribbonsurf import (
     canonical_encoding,
     from_rotation_lists,
     petal,
+    random_filling_map,
     refine,
     relabeled,
 )
 from util import corpus, scramble
+
+
+def all_roots_encoding(m):
+    """Reference encoding: the least full BFS image over every root."""
+    images = []
+    for root in range(m.num_darts):
+        order = {root: 0}
+        queue = [root]
+        for d in queue:
+            for nxt in (m.sigma[d], d ^ 1):
+                if nxt not in order:
+                    order[nxt] = len(order)
+                    queue.append(nxt)
+        sigma_new = [order[m.sigma[d]] for d in queue]
+        iota_new = [order[d ^ 1] for d in queue]
+        images.append(b"".join(v.to_bytes(4, "big") for v in sigma_new + iota_new))
+    return min(images)
 
 
 def test_relabeled_copies_are_isomorphic():
@@ -75,3 +94,51 @@ def test_bijection_maps_darts_consistently():
     seen = sorted(bijection(d) for d in range(m.num_darts))
     assert seen == list(range(m.num_darts))
     assert bijection.commutes(m, copy)
+
+
+def test_encoding_matches_all_roots_reference():
+    maps = [m for _, m in corpus(40, seed=31) if m.num_edges]
+    maps += [refine(m) for m in maps[::3]]
+    for g in range(1, 7):
+        maps += [petal(g), refine(petal(g))]
+    for m in maps:
+        assert canonical_encoding(m) == all_roots_encoding(m)
+
+
+def test_pinned_encodings():
+    interleaved = from_rotation_lists(["a", "b"], [["a+", "b+", "a-", "b-"]])
+    nested = from_rotation_lists(["a", "b"], [["a+", "a-", "b+", "b-"]])
+    petal_1 = ("00000001000000020000000300000000"
+               "00000002000000030000000000000001")
+    assert canonical_encoding(petal(1)).hex() == petal_1
+    assert canonical_encoding(interleaved).hex() == petal_1
+    assert canonical_encoding(nested).hex() == (
+        "00000001000000020000000300000000"
+        "00000001000000000000000300000002")
+    assert canonical_encoding(petal(2)).hex() == (
+        "00000001000000020000000300000004"
+        "00000005000000060000000700000000"
+        "00000002000000030000000000000001"
+        "00000006000000070000000400000005")
+
+
+small_maps = st.builds(random_filling_map, st.integers(0, 3), st.integers(0, 25),
+                       st.integers(0, 10 ** 6)).filter(lambda m: m.num_edges > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_maps, st.randoms(use_true_random=False))
+def test_encoding_survives_scrambling(m, rng):
+    assert canonical_encoding(scramble(m, rng)) == canonical_encoding(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 25), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.booleans(), st.randoms(use_true_random=False))
+def test_encoding_equality_iff_isomorphic(g, moves, seed1, seed2, copy, rng):
+    # Independent draws are rarely isomorphic, so half the pairs are copies.
+    m1 = random_filling_map(g, moves, seed1)
+    m2 = scramble(m1, rng) if copy else random_filling_map(g, moves, seed2)
+    assert m1.num_edges == m2.num_edges
+    same = canonical_encoding(m1) == canonical_encoding(m2)
+    assert same == (are_isomorphic(m1, m2) is not None)
