@@ -5,11 +5,12 @@ Vertices are group elements, one directed edge u --a--> u*a per generator a
 vertex, relator) pair whose full boundary loop stays inside the ball.  The
 ball of radius r around the identity is grown breadth first; an element's
 representative is the first word that reaches it in shortlex order, hence a
-geodesic.  Element identity is decided by the word-problem solver alone
-(u = v iff u v' is trivial); candidate comparisons are pruned to
-representatives whose ball layer differs by at most one, which is sound
-because one generator step changes the distance by at most one.  Fine for
-desk-scale radii; no normal-form machinery.
+geodesic.  Elements are filed by the presentation's solver key: the
+reduced word in a free group, else the exponent-sum vector.  Words with
+different keys are different elements, because every supported relator
+has zero exponent sum in each generator.  The key is exact for free groups
+and Z x Z; for genus >= 2 words sharing a key are compared by Dehn's
+algorithm (u = v iff u v' is trivial).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalInvariantViolation, PreconditionError
-from .groups import Presentation, free_reduce, invert_word, is_trivial_word, solver_kind
+from .groups import Presentation, Solver, free_reduce, invert_word
 
 
 @dataclass(frozen=True)
@@ -36,41 +37,6 @@ class CayleyBall:
         return len(self.vertices)
 
 
-def _equal(u: tuple, v: tuple, pres: Presentation) -> bool:
-    return is_trivial_word(u + invert_word(v), pres)
-
-
-class _Ball:
-    def __init__(self, pres: Presentation):
-        self.pres = pres
-        self.words = [()]
-        self.dist = [0]
-        self.layers = {0: [0]}
-
-    def find(self, word: tuple, around: int) -> Optional[int]:
-        """Index of the element ``word`` among layers within one of
-        ``around``, or None if it lies outside them."""
-        for r in (around - 1, around, around + 1):
-            for vi in self.layers.get(r, ()):
-                if _equal(word, self.words[vi], self.pres):
-                    return vi
-        return None
-
-    def grow(self, radius: int, alphabet: list) -> None:
-        for r in range(1, radius + 1):
-            layer = []
-            self.layers[r] = layer
-            for ui in self.layers[r - 1]:
-                base = self.words[ui]
-                for letter in alphabet:
-                    cand = free_reduce(base + (letter,))
-                    if self.find(cand, r - 1) is not None:
-                        continue
-                    self.words.append(cand)
-                    self.dist.append(r)
-                    layer.append(len(self.words) - 1)
-
-
 def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
     """The radius-``radius`` ball of the Cayley complex.
 
@@ -79,40 +45,51 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    solver_kind(pres)
+    solver = Solver(pres)
+    words = [()]
+    by_key = {solver.key(()): [0]}
+
+    def find(word: tuple) -> Optional[int]:
+        for vi in by_key.get(solver.key(word), ()):
+            if solver.kind != "dehn" or solver.is_trivial(
+                    free_reduce(word + invert_word(words[vi]))):
+                return vi
+        return None
+
     alphabet = ([(g, 1) for g in pres.generators]
                 + [(g, -1) for g in pres.generators])
-    ball = _Ball(pres)
-    ball.grow(radius, alphabet)
+    start = 0
+    for _ in range(radius):
+        layer, start = words[start:], len(words)
+        for base in layer:
+            for letter in alphabet:
+                cand = free_reduce(base + (letter,))
+                if find(cand) is None:
+                    by_key.setdefault(solver.key(cand), []).append(len(words))
+                    words.append(cand)
 
     edges = []
-    for ui, base in enumerate(ball.words):
+    for ui, base in enumerate(words):
         for gen in pres.generators:
-            target = ball.find(free_reduce(base + ((gen, 1),)), ball.dist[ui])
+            target = find(free_reduce(base + ((gen, 1),)))
             if target is not None:
                 edges.append((ui, gen, target))
 
     cells = []
-    for base_index, base in enumerate(ball.words):
+    for base_index, base in enumerate(words):
         for rj, relator in enumerate(pres.relators):
-            cycle = [base_index]
-            word = base
-            at = base_index
-            for step, letter in enumerate(relator):
+            cycle, word = [base_index], base
+            for letter in relator[:-1]:
                 word = free_reduce(word + (letter,))
-                if step == len(relator) - 1:
-                    if not _equal(word, base, pres):  # pragma: no cover
-                        raise InternalInvariantViolation(
-                            "relator loop did not close")
-                    at = base_index
-                else:
-                    at = ball.find(word, ball.dist[at])
-                    if at is None:
-                        break
-                    cycle.append(at)
-            if at is not None and len(cycle) == len(relator):
+                cycle.append(find(word))
+                if cycle[-1] is None:
+                    break
+            else:
+                if find(free_reduce(word + relator[-1:])) != base_index:
+                    raise InternalInvariantViolation(  # pragma: no cover
+                        "relator loop did not close")
                 cells.append((base_index, rj, tuple(cycle)))
 
     return CayleyBall(presentation=pres, radius=radius,
-                      vertices=tuple(ball.words), edges=tuple(edges),
+                      vertices=tuple(words), edges=tuple(edges),
                       cells=tuple(cells))

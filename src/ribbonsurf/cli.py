@@ -3,8 +3,8 @@
 Every subcommand prints a deterministic payload: byte-stable JSON documents
 for anything that produces a map, plain ``key: value`` lines otherwise.
 Exit codes: 0 success, 1 domain error (bad input, failed validation),
-2 usage error, 3 internal error (a failed consistency check: a bug in
-ribbonsurf, reported as ``internal error: ...``).
+2 usage error, 3 internal error (a failed consistency check or a stray
+IndexError: a bug in ribbonsurf, reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -345,9 +345,7 @@ def dispatch(argv) -> CommandResult:
         return _RUNNERS[args.command](args)
     except RibbonError as exc:
         return CommandResult(1, f"error: {exc}")
-    except IndexError as exc:
-        return CommandResult(1, f"error: {exc}")
-    except InternalInvariantViolation as exc:
+    except (IndexError, InternalInvariantViolation) as exc:
         return CommandResult(3, f"internal error: {exc}")
 
 

@@ -6,11 +6,12 @@ the fundamental group of the filled surface.  For the one-vertex petal maps
 this is literally the genus-g surface presentation
 <a1, b1, ..., ag, bg | a1 b1 a1' b1' ... ag bg ag' bg'>.
 
-The word problem is decided by presentation shape: free presentations by
-free reduction, genus 1 (the abelian a b a' b' relator) by exponent sums,
-genus >= 2 by Dehn's algorithm, which is complete because the surface
-relator satisfies the C'(1/6) small-cancellation condition (no two distinct
-cyclic shifts of the relator or its inverse share a two-letter piece).
+The word problem is decided by presentation shape, chosen once per
+presentation by a Solver: free presentations by free reduction, genus 1
+(the abelian a b a' b' relator) by exponent sums, genus >= 2 by Dehn's
+algorithm, which is complete because the surface relator satisfies the
+C'(1/6) small-cancellation condition (no two distinct cyclic shifts of the
+relator or its inverse share a two-letter piece).
 """
 
 from __future__ import annotations
@@ -148,7 +149,6 @@ def solver_kind(pres: Presentation) -> str:
     """Which decision procedure fits: 'free', 'abelian', or 'dehn'.
 
     Raises UnsupportedPresentationError for any other shape.
-    is_trivial_word dispatches through it.
     """
     if not pres.relators:
         return "free"
@@ -164,17 +164,11 @@ def solver_kind(pres: Presentation) -> str:
         "solver handles free and standard surface presentations only")
 
 
-def _dehn_trivial(word: Sequence[Letter], relator: tuple) -> bool:
+def _dehn_trivial(word: Sequence[Letter], prefixes: dict, big_r: int) -> bool:
     """Dehn's algorithm: repeatedly replace a cyclic subword that covers
-    more than half of a relator shift by the shorter complement."""
-    big_r = len(relator)
+    more than half of a relator shift by the shorter complement.
+    ``prefixes`` maps each such subword to its shift (see Solver)."""
     need = big_r // 2 + 1
-    prefixes = {}
-    for base in (relator, invert_word(relator)):
-        for s in range(big_r):
-            rot = base[s:] + base[:s]
-            for length in range(need, big_r + 1):
-                prefixes.setdefault(rot[:length], rot)
     w = cyclic_reduce(word)
     while w:
         n = len(w)
@@ -199,6 +193,40 @@ def _dehn_trivial(word: Sequence[Letter], relator: tuple) -> bool:
     return True
 
 
+class Solver:
+    """The word-problem procedure of one presentation, resolved once by
+    solver_kind (which raises for unsupported shapes).  The methods take
+    freely reduced words over the generators."""
+
+    def __init__(self, pres: Presentation):
+        self.kind = solver_kind(pres)
+        self.generators = pres.generators
+        if self.kind == "dehn":
+            relator = pres.relators[0]
+            self._relator_len = big_r = len(relator)
+            self._prefixes = {}
+            for base in (relator, invert_word(relator)):
+                for s in range(big_r):
+                    rot = base[s:] + base[:s]
+                    for length in range(big_r // 2 + 1, big_r + 1):
+                        self._prefixes.setdefault(rot[:length], rot)
+
+    def key(self, word: tuple):
+        """Words with different keys are different elements.  The word itself
+        for free groups, else the exponent-sum vector: exact for Z x Z, for
+        genus >= 2 a bucket (the relator sums to zero in each generator)."""
+        if self.kind == "free":
+            return word
+        return exponent_sums(word, self.generators)
+
+    def is_trivial(self, word: tuple) -> bool:
+        if self.kind == "free":
+            return not word
+        if self.kind == "abelian":
+            return not any(exponent_sums(word, self.generators))
+        return _dehn_trivial(word, self._prefixes, self._relator_len)
+
+
 def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:
     """Does the word represent the identity?
 
@@ -215,12 +243,7 @@ def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:
     w = free_reduce(word)
     if not w:
         return True
-    kind = solver_kind(pres)
-    if kind == "free":
-        return False
-    if kind == "abelian":
-        return not any(exponent_sums(w, pres.generators))
-    return _dehn_trivial(w, pres.relators[0])
+    return Solver(pres).is_trivial(w)
 
 
 def homotopic_words(u: Sequence[Letter], v: Sequence[Letter],
@@ -239,7 +262,7 @@ def spanning_tree(ribbon_map: RibbonMap, base: int = 0) -> set:
     their smallest dart, so the tree is deterministic.
     """
     if not 0 <= base < ribbon_map.num_vertices:
-        raise IndexError(f"vertex {base} out of range")
+        raise PreconditionError(f"vertex {base} out of range")
     seen = {base}
     tree = set()
     queue = deque([base])
@@ -265,7 +288,7 @@ def pi1_presentation(ribbon_map: RibbonMap, base: int = 0) -> Presentation:
     """
     if ribbon_map.num_edges == 0:
         if base != 0:
-            raise IndexError(f"vertex {base} out of range")
+            raise PreconditionError(f"vertex {base} out of range")
         return Presentation((), (), genus_hint=0)
     tree = spanning_tree(ribbon_map, base)
     gens = tuple(lab for lab in ribbon_map.edge_labels if lab not in tree)
@@ -302,7 +325,7 @@ def path_endpoints(ribbon_map: RibbonMap, path: DiscretePath) -> tuple:
         if path.start is None:
             raise PreconditionError("constant path needs an explicit start")
         if not 0 <= path.start < ribbon_map.num_vertices:
-            raise IndexError(f"vertex {path.start} out of range")
+            raise PreconditionError(f"vertex {path.start} out of range")
         return path.start, path.start
     tail = ribbon_map.vertex_of(path.darts[0])
     if path.start is not None and path.start != tail:

@@ -140,12 +140,20 @@ def test_exit_codes():
 
 
 def test_internal_errors_are_reported_as_bugs(monkeypatch):
-    def broken(args):
-        raise InternalInvariantViolation("faces do not partition the darts")
+    for error in (InternalInvariantViolation, IndexError):
+        def broken(args, error=error):
+            raise error("faces do not partition the darts")
 
-    monkeypatch.setitem(cli._RUNNERS, "genus", broken)
-    assert dispatch(["genus", doc("theta.json")]) == CommandResult(
-        3, "internal error: faces do not partition the darts")
+        monkeypatch.setitem(cli._RUNNERS, "genus", broken)
+        assert dispatch(["genus", doc("theta.json")]) == CommandResult(
+            3, "internal error: faces do not partition the darts")
+
+
+def test_bad_base_vertex_is_a_domain_error():
+    for argv, n in [(("pi1", doc("theta.json"), "--base", "9"), 9),
+                    (("pi1", doc("theta.json"), "--base", "-1"), -1),
+                    (("homotopic", doc("petal_1.json"), "", "", "--base", "3"), 3)]:
+        assert run(*argv, expect=1) == f"error: vertex {n} out of range"
 
 
 def test_stdin_input(monkeypatch, capsys):

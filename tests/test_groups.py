@@ -11,6 +11,7 @@ from ribbonsurf import (
     PreconditionError,
     UnknownLabelError,
     UnsupportedPresentationError,
+    cayley_ball,
     free_presentation,
     free_reduce,
     from_rotation_lists,
@@ -27,6 +28,7 @@ from ribbonsurf import (
     surface_group,
     zxz_presentation,
 )
+from ribbonsurf import groups
 from util import corpus
 
 letter = st.tuples(st.sampled_from("abcd"), st.sampled_from([1, -1]))
@@ -67,6 +69,35 @@ def test_solver_dispatch():
     assert solver_kind(surface_group(4)) == "dehn"
     with pytest.raises(UnsupportedPresentationError):
         solver_kind(Presentation(("a",), (parse_word("aa"),)))
+    # a word that freely reduces to the identity needs no solver
+    assert is_trivial_word(parse_word("aA"), Presentation(("a",), (parse_word("aaa"),)))
+
+
+@pytest.mark.parametrize("pres", [free_presentation(2), zxz_presentation(),
+                                  surface_group(2)], ids=["free2", "zxz", "surface2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solver_keys_separate_elements(pres, data):
+    solver = groups.Solver(pres)
+    letter = st.tuples(st.sampled_from(pres.generators), st.sampled_from([1, -1]))
+    u = data.draw(st.lists(letter, max_size=12).map(tuple))
+    # a permutation of u has u's exponent sums, so it often shares u's key
+    v = data.draw(st.one_of(st.lists(letter, max_size=12).map(tuple),
+                            st.permutations(u).map(tuple)))
+    same = is_trivial_word(u + invert_word(v), pres)
+    if solver.key(free_reduce(u)) != solver.key(free_reduce(v)):
+        assert not same
+    elif solver.kind != "dehn":
+        assert same
+
+
+def test_cayley_ball_resolves_the_shape_once(monkeypatch):
+    calls = []
+    shape_genus = groups._surface_shape_genus
+    monkeypatch.setattr(groups, "_surface_shape_genus",
+                        lambda pres: calls.append(pres) or shape_genus(pres))
+    cayley_ball(surface_group(2), 2)
+    assert len(calls) == 1
 
 
 def test_trivial_words_free_group():
@@ -178,6 +209,18 @@ def test_path_endpoints_and_validation():
     assert path_endpoints(theta, constant) == (1, 1)
     with pytest.raises(PreconditionError):
         path_endpoints(theta, DiscretePath(()))
+
+
+def test_bad_vertex_arguments_are_precondition_errors():
+    theta = from_rotation_lists(
+        ["e1", "e2", "e3"],
+        [["e1+", "e2+", "e3+"], ["e1-", "e3-", "e2-"]])
+    for call in (lambda: spanning_tree(theta, 99),
+                 lambda: pi1_presentation(theta, base=99),
+                 lambda: pi1_presentation(petal(0), base=99),
+                 lambda: path_endpoints(theta, DiscretePath((), start=99))):
+        with pytest.raises(PreconditionError, match="vertex 99 out of range"):
+            call()
 
 
 def test_homotopic_loops_on_torus():
