@@ -3,12 +3,15 @@
 Any connected map is carried to a one-vertex one-face map by deleting edges
 whose two sides lie on distinct faces (merging the faces) and then
 contracting non-loop edges (merging vertices); both moves preserve the Euler
-characteristic.  The surviving map's single face spells a polygon word in
-which every edge label appears once per sign.  Cut-and-glue rewriting brings
-that word to the canonical form x1 y1 x1' y1' ... xg yg xg' yg', whose
-length names the genus directly.  Every step is recorded in a replayable
-MoveTrace, and every intermediate word is checked against the independent
-chi oracle word_to_map.
+characteristic.  The random generator runs the inverse moves: chord
+insertions and vertex splits.  Every map move is checked by one test of its
+change to (V, F) and hands the faces of its result on, so a chain of moves
+traces each map once.  The surviving map's single face spells a polygon
+word in which every edge label appears once per sign.  Cut-and-glue
+rewriting brings that word to the canonical form
+x1 y1 x1' y1' ... xg yg xg' yg', whose length names the genus directly.
+Every step is recorded in a replayable MoveTrace, and the word after every
+move is checked against the independent chi oracle word_to_map.
 """
 
 from __future__ import annotations
@@ -133,6 +136,10 @@ class ClassificationResult:
 
 
 # -- map-level moves -------------------------------------------------------
+#
+# Each move has a private core that takes its input's faces and returns
+# (new map, its faces) through _checked.  The public moves trace their input
+# and call the core.
 
 
 def _edge_index(ribbon_map: RibbonMap, label: str) -> int:
@@ -153,39 +160,41 @@ def _rebuild(ribbon_map: RibbonMap, rows: list) -> RibbonMap:
                                     for row in rows])
 
 
-def _without_edge(ribbon_map: RibbonMap, k: int) -> RibbonMap:
-    return _rebuild(ribbon_map, [[d for d in star if d >> 1 != k]
-                                 for star in ribbon_map._stars])
+def _checked(before: RibbonMap, faces: list, after: RibbonMap,
+             dv: int, df: int, what: str):
+    """(after, its faces), once V and F are seen to change by (dv, df)."""
+    after_faces = trace_faces(after)
+    change = (after.num_vertices - before.num_vertices,
+              len(after_faces) - len(faces))
+    if change != (dv, df):
+        raise InternalInvariantViolation(
+            f"{what} changed (V, F) by {change}, not {(dv, df)}")
+    return after, after_faces
+
+
+def _merging_edge(ribbon_map: RibbonMap, faces: list) -> Optional[str]:
+    """The first edge whose two sides lie on distinct faces, if any."""
+    where = face_of_dart(ribbon_map, faces)
+    return next((label for k, label in enumerate(ribbon_map.edge_labels)
+                 if where[2 * k] != where[2 * k + 1]), None)
+
+
+def _delete(ribbon_map: RibbonMap, faces: list, label: str):
+    k = _edge_index(ribbon_map, label)
+    where = face_of_dart(ribbon_map, faces)
+    if where[2 * k] == where[2 * k + 1]:
+        raise PreconditionError(
+            f"edge {label!r} has both sides on one face; deleting it "
+            "would not merge faces")
+    rows = [[d for d in star if d >> 1 != k] for star in ribbon_map._stars]
+    return _checked(ribbon_map, faces, _rebuild(ribbon_map, rows), 0, -1,
+                    f"deleting {label!r}")
 
 
 def delete_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     """Remove one edge whose sides lie on distinct faces, merging them; chi
     and connectedness are kept."""
-    k = _edge_index(ribbon_map, label)
-    where = face_of_dart(ribbon_map)
-    if where[2 * k] == where[2 * k + 1]:
-        raise PreconditionError(
-            f"edge {label!r} has both sides on one face; deleting it "
-            "would not merge faces")
-    return _without_edge(ribbon_map, k)
-
-
-def _delete_face_merging_edge(ribbon_map: RibbonMap, faces: list):
-    """delete_face_merging_edge given the map's faces; a step also returns
-    the faces of the new map, which the F - 1 check traced."""
-    if ribbon_map.num_edges == 0:
-        return None
-    where = face_of_dart(ribbon_map, faces)
-    for k, label in enumerate(ribbon_map.edge_labels):
-        if where[2 * k] != where[2 * k + 1]:
-            result = _without_edge(ribbon_map, k)
-            result_faces = trace_faces(result)
-            if len(result_faces) != len(faces) - 1:
-                raise InternalInvariantViolation("face deletion changed F by != 1")
-            if result.num_vertices != ribbon_map.num_vertices:
-                raise InternalInvariantViolation("face deletion changed V")
-            return result, label, result_faces
-    return None
+    return _delete(ribbon_map, trace_faces(ribbon_map), label)[0]
 
 
 def delete_face_merging_edge(ribbon_map: RibbonMap):
@@ -194,13 +203,12 @@ def delete_face_merging_edge(ribbon_map: RibbonMap):
     Returns (new map, deleted label), or None when every edge has both
     sides on one face -- in particular whenever F = 1.
     """
-    step = _delete_face_merging_edge(ribbon_map, trace_faces(ribbon_map))
-    return None if step is None else step[:2]
+    faces = trace_faces(ribbon_map)
+    label = _merging_edge(ribbon_map, faces)
+    return None if label is None else (_delete(ribbon_map, faces, label)[0], label)
 
 
-def _contract_edge(ribbon_map: RibbonMap, label: str, old_faces: int):
-    """contract_edge given the map's face count; also returns the faces of
-    the result, which the F check traced."""
+def _contract(ribbon_map: RibbonMap, faces: list, label: str):
     d = 2 * _edge_index(ribbon_map, label)
     dbar = d ^ 1
     u = ribbon_map.vertex_of(d)
@@ -221,13 +229,8 @@ def _contract_edge(ribbon_map: RibbonMap, label: str, old_faces: int):
             else:
                 row.append(x)
         rows.append(row)
-    result = _rebuild(ribbon_map, rows)
-    if result.num_vertices != ribbon_map.num_vertices - 1:
-        raise InternalInvariantViolation("contraction changed V by != 1")
-    result_faces = trace_faces(result)
-    if len(result_faces) != old_faces:
-        raise InternalInvariantViolation("contraction changed F")
-    return result, result_faces
+    return _checked(ribbon_map, faces, _rebuild(ribbon_map, rows), -1, 0,
+                    f"contracting {label!r}")
 
 
 def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
@@ -237,7 +240,7 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     the head read cyclically from just after the opposite dart; V drops by
     one and F is untouched.
     """
-    return _contract_edge(ribbon_map, label, len(trace_faces(ribbon_map)))[0]
+    return _contract(ribbon_map, trace_faces(ribbon_map), label)[0]
 
 
 def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
@@ -248,10 +251,10 @@ def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
     current = ribbon_map
     faces = trace_faces(current)
     while True:
-        step = _delete_face_merging_edge(current, faces)
-        if step is None:
+        label = _merging_edge(current, faces)
+        if label is None:
             break
-        current, label, faces = step
+        current, faces = _delete(current, faces, label)
         moves.append(DeleteEdge(label))
     if current.num_edges:
         if len(faces) != 1:
@@ -260,7 +263,7 @@ def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
         while current.num_vertices > 1:
             for k, label in enumerate(current.edge_labels):
                 if current.vertex_of(2 * k) != current.vertex_of(2 * k + 1):
-                    current, faces = _contract_edge(current, label, len(faces))
+                    current, faces = _contract(current, faces, label)
                     moves.append(ContractEdge(label))
                     break
             else:
@@ -399,25 +402,28 @@ def _gathered_labels(letters: list) -> set:
     return out
 
 
+def _aligned_rotations(letters: list) -> list:
+    """Positions p from which the word reads x1 y1 x1' y1' ...: every
+    (p + 4i) mod n is a block start."""
+    n = len(letters)
+    if n % 4:
+        return []
+    starts = set(_strict_blocks(letters))
+    return [p for p in sorted(starts)
+            if all((p + q) % n in starts for q in range(0, n, 4))]
+
+
 def is_canonical_word(word) -> bool:
     """True when the word is exactly x1 y1 x1' y1' ... read from position 0."""
     letters = list(word)
-    n = len(letters)
-    if n % 4:
-        return False
-    return all(p in _strict_blocks(letters) or p % 4 for p in range(0, n, 4))
+    return not letters or 0 in _aligned_rotations(letters)
 
 
 def canonical_rotation(letters: list) -> list:
     """Rotate a fully gathered word to its least block-aligned rotation."""
     if not letters:
         return []
-    n = len(letters)
-    candidates = []
-    for p in _strict_blocks(letters):
-        rotated = letters[p:] + letters[:p]
-        if is_canonical_word(rotated):
-            candidates.append(rotated)
+    candidates = [letters[p:] + letters[:p] for p in _aligned_rotations(letters)]
     if not candidates:
         raise InternalInvariantViolation("word is not fully gathered")
     return min(candidates, key=lambda ls: [ref.token() for ref in ls])
@@ -450,42 +456,22 @@ def _linked_pairs(letters: list, ignore: set):
     positions = {}
     for p, ref in enumerate(letters):
         positions.setdefault(ref.label, []).append(p)
-    order = [ref.label for ref in letters]
-    seen = set()
-    labels = [lab for lab in order if lab not in ignore
-              and not (lab in seen or seen.add(lab))]
+    labels = [lab for lab in positions if lab not in ignore]
     for a in labels:
         p1, p2 = positions[a]
         for b in labels:
-            if b == a:
-                continue
             q1, q2 = positions[b]
             if (p1 < q1 < p2) != (p1 < q2 < p2):
                 yield a, b
-    return
 
 
-def _gather_pair(letters: list, a: str, b: str, used: set, counter: list):
-    """Two cut-and-glue moves that fuse the linked pair (a, b) into a fresh
-    gathered block, leaving every other arc of the word intact."""
-    n = len(letters)
-    p1, p2 = [p for p, ref in enumerate(letters) if ref.label == a]
-    moves = []
-    c = _fresh_label(used, counter)
-    first = CutGlue(new_label=c, old_label=b, cut=(p1, (p2 + 1) % n),
-                    chord_sign=-1)
-    letters = apply_cut_glue(letters, first)
-    moves.append(first)
-    q1 = next(p for p, ref in enumerate(letters)
-              if ref.label == c and ref.sign == -1)
-    q2 = next(p for p, ref in enumerate(letters)
-              if ref.label == c and ref.sign == 1)
-    d = _fresh_label(used, counter)
-    second = CutGlue(new_label=d, old_label=a, cut=(q1, (q2 + 1) % len(letters)),
-                     chord_sign=1)
-    letters = apply_cut_glue(letters, second)
-    moves.append(second)
-    return letters, moves
+def _cut_around(letters: list, around: str, old_label: str, chord_sign: int,
+                used: set, counter: list) -> CutGlue:
+    """Cut just around the two occurrences of ``around`` with a fresh chord
+    and reglue along ``old_label``."""
+    p1, p2 = [p for p, ref in enumerate(letters) if ref.label == around]
+    return CutGlue(new_label=_fresh_label(used, counter), old_label=old_label,
+                   cut=(p1, (p2 + 1) % len(letters)), chord_sign=chord_sign)
 
 
 def normalize(word):
@@ -494,29 +480,26 @@ def normalize(word):
     Returns (canonical PolygonWord, MoveTrace).  Adjacent inverse pairs are
     cancelled, then linked pairs are gathered into blocks x y x' y' until the
     word is a concatenation of such blocks; the genus can then be read off as
-    length/4.  Every intermediate word is checked against the word_to_map
+    length/4.  The word after every move is checked against the word_to_map
     chi oracle.
     """
-    if not isinstance(word, PolygonWord):
-        word = PolygonWord(word)
-    letters = list(word.letters)
+    letters = list(PolygonWord(word).letters)
     target = _oracle_genus(letters)
     used = {ref.label for ref in letters}
     counter = [1]
     moves = []
 
-    def checked(new_letters, new_moves):
-        if _oracle_genus(new_letters) != target:
-            raise InternalInvariantViolation(
-                f"move {new_moves[-1]!r} changed the surface")
-        return new_letters
+    def apply(move):
+        nonlocal letters
+        letters = apply_word_move(letters, move)
+        if _oracle_genus(letters) != target:
+            raise InternalInvariantViolation(f"move {move!r} changed the surface")
+        moves.append(move)
 
     while True:
         lab = _find_adjacent_inverse(letters)
         if lab is not None:
-            move = Cancel(lab)
-            letters = checked(apply_cancel(letters, move), [move])
-            moves.append(move)
+            apply(Cancel(lab))
             continue
         if not letters:
             break
@@ -530,11 +513,10 @@ def normalize(word):
             raise PreconditionError(
                 "no linked pair among ungathered edges; the word does not "
                 "come from a one-vertex map") from None
-        letters, pair_moves = _gather_pair(letters, a, b, used, counter)
-        if _oracle_genus(letters) != target:
-            raise InternalInvariantViolation("gathering changed the surface")
-        moves.append(pair_moves[0])
-        moves.append(pair_moves[1])
+        # Two cuts fuse the linked pair into a fresh gathered block, leaving
+        # every other arc of the word intact.
+        apply(_cut_around(letters, a, b, -1, used, counter))
+        apply(_cut_around(letters, moves[-1].new_label, a, 1, used, counter))
     if letters:
         letters = canonical_rotation(letters)
     return PolygonWord(letters), MoveTrace(tuple(moves))
@@ -542,8 +524,7 @@ def normalize(word):
 
 def replay_word_moves(word, moves) -> PolygonWord:
     """Apply recorded word moves and the final canonical rotation."""
-    letters = list(PolygonWord(word).letters if not isinstance(word, PolygonWord)
-                   else word.letters)
+    letters = list(PolygonWord(word).letters)
     for move in moves:
         letters = apply_word_move(letters, move)
     if letters:
@@ -597,24 +578,17 @@ def replay(ribbon_map: RibbonMap, trace: MoveTrace) -> Optional[PolygonWord]:
 # -- randomized instance generator ------------------------------------------
 
 
-def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
-                corner_a: int, corner_b: int) -> RibbonMap:
-    """Split one face with a fresh chord between two of its corners.
-
-    Corners are face positions; the chord's forward dart enters the rotation
-    just before the dart at ``corner_a`` (V stays, m and F grow by one).
-    The edgeless sphere admits one insertion: the single loop.
-    """
+def _insert(ribbon_map: RibbonMap, faces: list, label: str, face_index: int,
+            corner_a: int, corner_b: int):
     if ribbon_map.num_edges == 0:
         _check_label(label)
-        return _from_dart_rows([label], [[0, 1]])
+        return _checked(ribbon_map, faces, _from_dart_rows([label], [[0, 1]]),
+                        0, 1, f"inserting {label!r}")
     if label in ribbon_map.edge_labels:
         raise PreconditionError(f"label {label!r} already in use")
-    faces = trace_faces(ribbon_map)
     face = faces[face_index]
     da = face.darts[corner_a % len(face)]
     db = face.darts[corner_b % len(face)]
-    old_faces = len(faces)
     new = ribbon_map.num_darts
     rows = []
     for star in ribbon_map._stars:
@@ -628,21 +602,23 @@ def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
         rows.append(row)
     _check_label(label)
     result = _from_dart_rows(ribbon_map.edge_labels + (label,), rows)
-    if len(trace_faces(result)) != old_faces + 1:
-        raise InternalInvariantViolation("chord insertion did not split the face")
-    if result.num_vertices != ribbon_map.num_vertices:
-        raise InternalInvariantViolation("chord insertion changed V")
-    return result
+    return _checked(ribbon_map, faces, result, 0, 1, f"inserting {label!r}")
 
 
-def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
-                 cut_a: int, cut_b: int) -> RibbonMap:
-    """Pull a vertex apart into two joined by a fresh edge.
+def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
+                corner_a: int, corner_b: int) -> RibbonMap:
+    """Split one face with a fresh chord between two of its corners.
 
-    The star is cut at positions ``cut_a``/``cut_b``; each side keeps its
-    cyclic order and gains one side of the new edge.  Inverse to contracting
-    that edge (V and m grow by one, F stays).
+    Corners are face positions; the chord's forward dart enters the rotation
+    just before the dart at ``corner_a`` (V stays, m and F grow by one).
+    The edgeless sphere admits one insertion: the single loop.
     """
+    return _insert(ribbon_map, trace_faces(ribbon_map), label, face_index,
+                   corner_a, corner_b)[0]
+
+
+def _split(ribbon_map: RibbonMap, faces: list, label: str, vertex: int,
+           cut_a: int, cut_b: int):
     if label in ribbon_map.edge_labels:
         raise PreconditionError(f"label {label!r} already in use")
     star = ribbon_map.star(vertex)
@@ -657,7 +633,6 @@ def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
     else:
         arc_a = [star[(i + t) % deg] for t in range((j - i) % deg)]
         arc_b = [star[(j + t) % deg] for t in range((i - j) % deg)]
-    old_faces = len(trace_faces(ribbon_map))
     new = ribbon_map.num_darts
     rows = []
     for v, star in enumerate(ribbon_map._stars):
@@ -667,32 +642,40 @@ def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
             rows.append(star)
     _check_label(label)
     result = _from_dart_rows(ribbon_map.edge_labels + (label,), rows)
-    if result.num_vertices != ribbon_map.num_vertices + 1:
-        raise InternalInvariantViolation("vertex split changed V by != 1")
-    if len(trace_faces(result)) != old_faces:
-        raise InternalInvariantViolation("vertex split changed F")
-    return result
+    return _checked(ribbon_map, faces, result, 1, 0, f"splitting off {label!r}")
+
+
+def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
+                 cut_a: int, cut_b: int) -> RibbonMap:
+    """Pull a vertex apart into two joined by a fresh edge.
+
+    The star is cut at positions ``cut_a``/``cut_b``; each side keeps its
+    cyclic order and gains one side of the new edge.  Inverse to contracting
+    that edge (V and m grow by one, F stays).
+    """
+    return _split(ribbon_map, trace_faces(ribbon_map), label, vertex,
+                  cut_a, cut_b)[0]
 
 
 def random_filling_map(g: int, moves: int, seed: int) -> RibbonMap:
     """A pseudorandom genus-g map: petal(g) blown up by ``moves`` inverse
     reduction moves (chord insertions and vertex splits).  Deterministic in
-    ``seed``; the genus never changes."""
+    ``seed``; the genus never changes.  Each map is traced once."""
     rng = random.Random(seed)
     current = petal(g)
+    faces = trace_faces(current)
     for i in range(1, moves + 1):
         label = f"e{i}"
         if current.num_edges == 0 or rng.random() < 0.5:
-            faces = trace_faces(current)
             f = rng.randrange(len(faces))
             size = max(1, len(faces[f]))
-            current = insert_edge(current, label, f,
-                                  rng.randrange(size), rng.randrange(size))
+            current, faces = _insert(current, faces, label, f,
+                                     rng.randrange(size), rng.randrange(size))
         else:
             v = rng.randrange(current.num_vertices)
             deg = len(current.star(v))
-            current = split_vertex(current, label, v,
-                                   rng.randrange(deg), rng.randrange(deg))
-    if genus(current) != g:
+            current, faces = _split(current, faces, label, v,
+                                    rng.randrange(deg), rng.randrange(deg))
+    if current.num_vertices - current.num_edges + len(faces) != 2 - 2 * g:
         raise InternalInvariantViolation("random moves changed the genus")
     return current

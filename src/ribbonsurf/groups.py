@@ -358,7 +358,8 @@ def homotopic(ribbon_map: RibbonMap, p1: DiscretePath, p2: DiscretePath,
             f"paths run {ends1[0]}->{ends1[1]} and {ends2[0]}->{ends2[1]}")
     if ribbon_map.num_edges == 0:
         return True
-    tree = spanning_tree(ribbon_map, base)
+    pres = pi1_presentation(ribbon_map, base)
+    tree = set(ribbon_map.edge_labels) - set(pres.generators)
     word = (path_word(ribbon_map, p1, tree)
             + invert_word(path_word(ribbon_map, p2, tree)))
-    return is_trivial_word(word, pi1_presentation(ribbon_map, base))
+    return is_trivial_word(word, pres)

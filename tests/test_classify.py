@@ -9,6 +9,7 @@ from ribbonsurf import (
     CutGlue,
     DartRef,
     DeleteEdge,
+    InternalInvariantViolation,
     LoopNotContractibleError,
     MalformedWordError,
     MapError,
@@ -38,7 +39,11 @@ from ribbonsurf import (
     word_to_map,
 )
 from ribbonsurf import maps
+from ribbonsurf.classify import _strict_blocks as strict_blocks
+from ribbonsurf.classify import canonical_rotation
 from util import corpus
+
+classify_module = importlib.import_module("ribbonsurf.classify")
 
 
 def test_polygon_word_of_petal():
@@ -96,7 +101,6 @@ def test_delete_edge_rejects_bridges():
 
 
 def test_reduction_traces_each_map_once(monkeypatch):
-    classify_module = importlib.import_module("ribbonsurf.classify")
     calls = []
 
     def counted(ribbon_map):
@@ -110,6 +114,45 @@ def test_reduction_traces_each_map_once(monkeypatch):
         assert len(calls) == len(trace) + 1
         assert len({id(c) for c in calls}) == len(calls)
         assert reduced in calls
+
+
+def test_generator_traces_each_map_once(monkeypatch):
+    calls = []
+
+    def counted(ribbon_map):
+        calls.append(ribbon_map)
+        return trace_faces(ribbon_map)
+
+    monkeypatch.setattr(classify_module, "trace_faces", counted)
+    for g, k, seed in [(0, 0, 1), (0, 9, 2), (1, 6, 3), (2, 25, 4), (3, 40, 5)]:
+        calls.clear()
+        m = random_filling_map(g, k, seed)
+        assert len(calls) == k + 1
+        assert len({id(c) for c in calls}) == len(calls)
+        assert calls[-1] is m
+
+
+def test_every_public_move_is_checked(monkeypatch):
+    # A move that builds its input again changes neither V nor F, so each
+    # public move must report it as a bug.
+    theta = from_rotation_lists(
+        ["e1", "e2", "e3"],
+        [["e1+", "e2+", "e3+"], ["e1-", "e3-", "e2-"]])
+    torus = petal(1)
+    edgeless = from_rotation_lists([], [[]])
+    cases = [
+        ("_rebuild", theta, lambda: delete_edge(theta, "e1")),
+        ("_rebuild", theta, lambda: delete_face_merging_edge(theta)),
+        ("_rebuild", theta, lambda: contract_edge(theta, "e2")),
+        ("_from_dart_rows", torus, lambda: insert_edge(torus, "x", 0, 0, 2)),
+        ("_from_dart_rows", edgeless, lambda: insert_edge(edgeless, "x", 0, 0, 0)),
+        ("_from_dart_rows", torus, lambda: split_vertex(torus, "x", 0, 1, 3)),
+    ]
+    for constructor, m, move in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_module, constructor, lambda *args, m=m: m)
+            with pytest.raises(InternalInvariantViolation):
+                move()
 
 
 def test_contract_move_merges_two_vertices():
@@ -172,6 +215,84 @@ def test_canonical_word_detector():
     assert not is_canonical_word(PolygonWord(
         [(c.lower(), 1 if c.islower() else -1) for c in "abcdABCD"]))
     assert is_canonical_word(PolygonWord([]))
+
+
+def test_normalize_finds_blocks_once_per_gathered_pair(monkeypatch):
+    calls = []
+    strict_blocks = classify_module._strict_blocks
+    monkeypatch.setattr(classify_module, "_strict_blocks",
+                        lambda letters: calls.append(1) or strict_blocks(letters))
+    maps = [m for _, m in corpus(30, seed=6)]
+    maps += [random_filling_map(g, 30, g) for g in (6, 12)]
+    for m in maps:
+        reduced, _ = reduce_to_one_vertex_one_face(m)
+        if reduced.num_edges == 0:
+            continue
+        calls.clear()
+        _, trace = normalize(polygon_word(reduced))
+        cut_glues = sum(isinstance(move, CutGlue) for move in trace)
+        assert len(calls) <= cut_glues // 2 + 2
+
+
+def reference_is_canonical_word(word):
+    """is_canonical_word as it was before the block starts were found once
+    per word."""
+    letters = list(word)
+    n = len(letters)
+    if n % 4:
+        return False
+    return all(p in strict_blocks(letters) or p % 4 for p in range(0, n, 4))
+
+
+def reference_canonical_rotation(letters):
+    """canonical_rotation as it was, one reference_is_canonical_word call
+    per candidate."""
+    if not letters:
+        return []
+    candidates = []
+    for p in strict_blocks(letters):
+        rotated = letters[p:] + letters[:p]
+        if reference_is_canonical_word(rotated):
+            candidates.append(rotated)
+    if not candidates:
+        raise InternalInvariantViolation("word is not fully gathered")
+    return min(candidates, key=lambda ls: [ref.token() for ref in ls])
+
+
+def test_block_logic_matches_reference():
+    def outcome(rotate, letters):
+        try:
+            return rotate(letters)
+        except InternalInvariantViolation:
+            return "not gathered"
+
+    rng = random.Random(17)
+    words = []
+    maps = [m for _, m in corpus(40, seed=8)]
+    maps += [random_filling_map(g, 20, g) for g in (4, 5)]
+    for m in maps:
+        reduced, _ = reduce_to_one_vertex_one_face(m)
+        if reduced.num_edges == 0:
+            continue
+        words.append(list(polygon_word(reduced)))
+        canonical = classify(m).canonical_word
+        if canonical is None:
+            continue
+        blocks = [list(canonical)[i:i + 4] for i in range(0, len(canonical), 4)]
+        rng.shuffle(blocks)
+        words.append([ref for block in blocks for ref in block])
+        # Inverting one block leaves x' y' x y, which is not a strict block.
+        blocks[0] = [ref.reversed() for ref in blocks[0]]
+        words.append([ref for block in blocks for ref in block])
+    words.append(list(PolygonWord([("a", 1), ("a", -1)])))
+    words.append([])
+    for letters in words:
+        for p in range(max(1, len(letters))):
+            rotated = letters[p:] + letters[:p]
+            assert (is_canonical_word(rotated)
+                    == reference_is_canonical_word(rotated)), rotated
+            assert (outcome(canonical_rotation, rotated)
+                    == outcome(reference_canonical_rotation, rotated)), rotated
 
 
 def test_classify_petals_and_sphere():

@@ -246,6 +246,17 @@ def test_homotopic_face_loop_genus2():
     assert not homotopic(m, half, const)
 
 
+def test_homotopic_builds_the_spanning_tree_once(monkeypatch):
+    calls = []
+    tree = groups.spanning_tree
+    monkeypatch.setattr(groups, "spanning_tree",
+                        lambda m, base=0: calls.append(base) or tree(m, base))
+    m = petal(3)
+    face = DiscretePath(tuple(m.dart_index(l) for l in parse_word("abAB")))
+    assert not homotopic(m, face, DiscretePath((), start=0))
+    assert calls == [0]
+
+
 def test_homotopic_endpoint_mismatch():
     theta = from_rotation_lists(
         ["e1", "e2", "e3"],
