@@ -613,8 +613,10 @@ def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
     just before the dart at ``corner_a`` (V stays, m and F grow by one).
     The edgeless sphere admits one insertion: the single loop.
     """
-    return _insert(ribbon_map, trace_faces(ribbon_map), label, face_index,
-                   corner_a, corner_b)[0]
+    faces = trace_faces(ribbon_map)
+    if not 0 <= face_index < len(faces):
+        raise PreconditionError(f"face {face_index} out of range")
+    return _insert(ribbon_map, faces, label, face_index, corner_a, corner_b)[0]
 
 
 def _split(ribbon_map: RibbonMap, faces: list, label: str, vertex: int,
@@ -653,6 +655,8 @@ def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
     cyclic order and gains one side of the new edge.  Inverse to contracting
     that edge (V and m grow by one, F stays).
     """
+    if not 0 <= vertex < ribbon_map.num_vertices:
+        raise PreconditionError(f"vertex {vertex} out of range")
     return _split(ribbon_map, trace_faces(ribbon_map), label, vertex,
                   cut_a, cut_b)[0]
 

@@ -9,9 +9,10 @@ this is literally the genus-g surface presentation
 The word problem is decided by presentation shape, chosen once per
 presentation by a Solver: free presentations by free reduction, genus 1
 (the abelian a b a' b' relator) by exponent sums, genus >= 2 by Dehn's
-algorithm, which is complete because the surface relator satisfies the
-C'(1/6) small-cancellation condition (no two distinct cyclic shifts of the
-relator or its inverse share a two-letter piece).
+algorithm in one pass over a stack: O(n*R) table lookups for n letters and
+a relator of length R.  It is complete by Greendlinger's lemma: the surface
+relator's pieces have one letter, so it satisfies C'(1/7), and a nonempty
+freely reduced trivial word contains more than half of a relator shift.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def free_reduce(word: Sequence[Letter]) -> tuple:
 
 def cyclic_reduce(word: Sequence[Letter]) -> tuple:
     """Freely reduce, then strip inverse first/last pairs."""
-    w = list(free_reduce(word))
-    while len(w) > 1 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0] and w[i][1] == -w[j][1]:
+        i, j = i + 1, j - 1
+    return w[i:j + 1]
 
 
 def exponent_sums(word: Sequence[Letter], generators: Sequence[str]) -> tuple:
@@ -164,33 +166,30 @@ def solver_kind(pres: Presentation) -> str:
         "solver handles free and standard surface presentations only")
 
 
-def _dehn_trivial(word: Sequence[Letter], prefixes: dict, big_r: int) -> bool:
-    """Dehn's algorithm: repeatedly replace a cyclic subword that covers
-    more than half of a relator shift by the shorter complement.
-    ``prefixes`` maps each such subword to its shift (see Solver)."""
-    need = big_r // 2 + 1
-    w = cyclic_reduce(word)
-    while w:
-        n = len(w)
-        hit = None
-        for length in range(min(n, big_r), need - 1, -1):
-            for p in range(n):
-                if p + length <= n:
-                    piece = w[p:p + length]
-                else:
-                    piece = w[p:] + w[:p + length - n]
-                rot = prefixes.get(piece)
-                if rot is not None:
-                    hit = (p, length, rot)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return False
-        p, length, rot = hit
-        rest = (w[p:] + w[:p])[length:]
-        w = cyclic_reduce(invert_word(rot[length:]) + rest)
-    return True
+def _dehn_trivial(word: Sequence[Letter], pieces: dict, need: int) -> bool:
+    """Dehn's algorithm in one pass over a stack.  ``pieces`` maps the first
+    ``need`` letters of each relator shift (more than half of it) to the
+    inverse of the rest (see Solver).  Pushes cancel free pairs.  The stack
+    never holds a key, and every longer relator subword ends in one, so one
+    lookup of the top ``need`` letters per push finds every rewrite; a hit
+    is popped and its replacement pushed back.  A rewrite shortens stack
+    plus pending letters by 2 * need - R >= 1, so n letters take at most
+    (1 + R/4) * n lookups.  By Greendlinger's lemma the word is trivial iff
+    the stack ends empty: no cyclic pass is needed."""
+    stack = []
+    pending = list(reversed(word))
+    while pending:
+        lab, sign = letter = pending.pop()
+        if stack and stack[-1][0] == lab and stack[-1][1] == -sign:
+            stack.pop()
+            continue
+        stack.append(letter)
+        if len(stack) >= need:
+            rest = pieces.get(tuple(stack[-need:]))
+            if rest is not None:
+                del stack[-need:]
+                pending.extend(reversed(rest))
+    return not stack
 
 
 class Solver:
@@ -203,13 +202,12 @@ class Solver:
         self.generators = pres.generators
         if self.kind == "dehn":
             relator = pres.relators[0]
-            self._relator_len = big_r = len(relator)
-            self._prefixes = {}
+            self._need = need = len(relator) // 2 + 1
+            self._pieces = {}
             for base in (relator, invert_word(relator)):
-                for s in range(big_r):
+                for s in range(len(base)):
                     rot = base[s:] + base[:s]
-                    for length in range(big_r // 2 + 1, big_r + 1):
-                        self._prefixes.setdefault(rot[:length], rot)
+                    self._pieces[rot[:need]] = invert_word(rot[need:])
 
     def key(self, word: tuple):
         """Words with different keys are different elements.  The word itself
@@ -224,7 +222,7 @@ class Solver:
             return not word
         if self.kind == "abelian":
             return not any(exponent_sums(word, self.generators))
-        return _dehn_trivial(word, self._prefixes, self._relator_len)
+        return _dehn_trivial(word, self._pieces, self._need)
 
 
 def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:

@@ -348,6 +348,19 @@ def test_split_vertex_adds_vertex_keeps_faces():
     assert genus(bigger) == 1
 
 
+def test_bad_face_and_vertex_arguments_are_precondition_errors():
+    two_faces = insert_edge(petal(1), "x", 0, 0, 2)
+    for m in (two_faces, from_rotation_lists([], [[]])):
+        for f in (-1, len(trace_faces(m))):
+            with pytest.raises(PreconditionError, match=rf"^face {f} out of range$"):
+                insert_edge(m, "y", f, 0, 0)
+    split = split_vertex(petal(1), "x", 0, 1, 3)
+    for m in (split, petal(2)):
+        for v in (-1, m.num_vertices):
+            with pytest.raises(PreconditionError, match=rf"^vertex {v} out of range$"):
+                split_vertex(m, "y", v, 0, 0)
+
+
 def test_new_edge_labels_are_checked():
     for m in (petal(1), from_rotation_lists([], [[]])):
         with pytest.raises(MapError, match=r"^bad edge label '1x'$"):

@@ -12,6 +12,7 @@ from ribbonsurf import (
     UnknownLabelError,
     UnsupportedPresentationError,
     cayley_ball,
+    cyclic_reduce,
     free_presentation,
     free_reduce,
     from_rotation_lists,
@@ -133,6 +134,139 @@ def test_trivial_words_higher_genus():
                          for _ in range(rng.randrange(0, 4)))
             w = w + conj + relator + invert_word(conj)
         assert is_trivial_word(w, g2)
+
+
+def reference_cyclic_reduce(word):
+    """The earlier cyclic reduction, one end pair per slice (quadratic)."""
+    w = list(free_reduce(word))
+    while len(w) > 1 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
+def reference_dehn_trivial(word, relator):
+    """The earlier Dehn's algorithm, kept as a differential reference: it
+    rescans the whole cyclic word, longest pieces first, after every
+    rewrite of a subword covering more than half of a relator shift."""
+    big_r = len(relator)
+    need = big_r // 2 + 1
+    prefixes = {}
+    for base in (relator, invert_word(relator)):
+        for s in range(big_r):
+            rot = base[s:] + base[:s]
+            for length in range(need, big_r + 1):
+                prefixes.setdefault(rot[:length], rot)
+    w = reference_cyclic_reduce(word)
+    while w:
+        n = len(w)
+        hit = None
+        for length in range(min(n, big_r), need - 1, -1):
+            for p in range(n):
+                if p + length <= n:
+                    piece = w[p:p + length]
+                else:
+                    piece = w[p:] + w[:p + length - n]
+                rot = prefixes.get(piece)
+                if rot is not None:
+                    hit = (p, length, rot)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return False
+        p, length, rot = hit
+        rest = (w[p:] + w[:p])[length:]
+        w = reference_cyclic_reduce(invert_word(rot[length:]) + rest)
+    return True
+
+
+@st.composite
+def surface_words(draw):
+    """A surface presentation and a random word over it, or relator
+    conjugates nested at random places, with or without one extra letter."""
+    pres = surface_group(draw(st.sampled_from([2, 3, 5])))
+    gen = st.tuples(st.sampled_from(pres.generators), st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        return pres, tuple(draw(st.lists(gen, max_size=40)))
+    relator = pres.relators[0]
+    word = ()
+    for _ in range(draw(st.integers(1, 4))):
+        conj = tuple(draw(st.lists(gen, max_size=5)))
+        shift = draw(st.integers(0, len(relator) - 1))
+        rel = relator[shift:] + relator[:shift]
+        if draw(st.booleans()):
+            rel = invert_word(rel)
+        at = draw(st.integers(0, len(word)))
+        word = word[:at] + conj + rel + invert_word(conj) + word[at:]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(word)))
+        word = word[:at] + (draw(gen),) + word[at:]
+    return pres, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_words())
+def test_dehn_matches_reference(case):
+    pres, word = case
+    w = free_reduce(word)
+    expected = not w or reference_dehn_trivial(w, pres.relators[0])
+    assert is_trivial_word(word, pres) == expected
+
+
+class CountingDict(dict):
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def long_surface_word(pres, length, rng):
+    """Relator conjugates inserted at random places until ``length``."""
+    relator, gens = pres.relators[0], pres.generators
+    word = []
+    while len(word) < length:
+        conj = [(rng.choice(gens), rng.choice((1, -1)))
+                for _ in range(rng.randrange(6))]
+        at = rng.randrange(len(word) + 1)
+        word[at:at] = conj + list(relator) + list(invert_word(conj))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("g", [2, 3, 5])
+@pytest.mark.parametrize("trivial", [True, False], ids=["trivial", "nontrivial"])
+def test_dehn_work_is_linear(g, trivial):
+    pres = surface_group(g)
+    rng = random.Random(g)
+    word = long_surface_word(pres, 23_000, rng)
+    if not trivial:
+        at = rng.randrange(len(word) + 1)
+        word = word[:at] + ((rng.choice(pres.generators), 1),) + word[at:]
+    word = free_reduce(word)
+    assert len(word) >= 20_000
+    solver = groups.Solver(pres)
+    solver._pieces = CountingDict(solver._pieces)
+    assert solver.is_trivial(word) == trivial
+    assert solver._pieces.gets <= (1 + len(pres.relators[0]) / 4) * len(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words)
+def test_cyclic_reduce_matches_reference(w):
+    assert cyclic_reduce(w) == reference_cyclic_reduce(w)
+
+
+def test_cyclic_reduce_long_conjugate():
+    rng = random.Random(3)
+    u = [("c", 1)]
+    while len(u) < 10_000:
+        x = (rng.choice("abcd"), rng.choice((1, -1)))
+        if x != (u[-1][0], -u[-1][1]):
+            u.append(x)
+    u = tuple(reversed(u))  # ends in c, so it cancels with neither end of ab
+    word = u + parse_word("ab") + invert_word(u)
+    assert len(word) == 20_002
+    assert cyclic_reduce(word) == reference_cyclic_reduce(word) == parse_word("ab")
 
 
 def test_dehn_needs_more_than_half_relator():
