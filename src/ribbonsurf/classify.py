@@ -4,19 +4,21 @@ Any connected map is carried to a one-vertex one-face map by deleting edges
 whose two sides lie on distinct faces (merging the faces) and then
 contracting non-loop edges (merging vertices); both moves preserve the Euler
 characteristic.  The random generator runs the inverse moves: chord
-insertions and vertex splits.  Every map move is checked by one test of its
-change to (V, F) and hands the faces of its result on, so a chain of moves
-traces each map once.  The surviving map's single face spells a polygon
-word in which every edge label appears once per sign.  Cut-and-glue
-rewriting brings that word to the canonical form
-x1 y1 x1' y1' ... xg yg xg' yg', whose length names the genus directly.
-Every step is recorded in a replayable MoveTrace, and the word after every
-move is checked against the independent chi oracle word_to_map.
+insertions and vertex splits.  A chain of map moves edits one mutable dart
+form in place; each move checks its change to (V, F) on the faces and stars
+it touched, and the chain is built into a checked map and traced once, at
+its end.  The surviving map's single face spells a polygon word in which
+every edge label appears once per sign.  Cut-and-glue rewriting brings that
+word to the canonical form x1 y1 x1' y1' ... xg yg xg' yg', whose length
+names the genus directly.  Every step is recorded in a replayable
+MoveTrace, and the word after every move is checked against the
+independent chi oracle word_to_map.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -28,7 +30,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .maps import DartRef, RibbonMap, _check_label, _from_dart_rows
-from .surfaces import face_of_dart, genus, petal, trace_faces
+from .surfaces import genus, petal, trace_faces
 
 
 class PolygonWord:
@@ -136,65 +138,243 @@ class ClassificationResult:
 
 
 # -- map-level moves -------------------------------------------------------
-#
-# Each move has a private core that takes its input's faces and returns
-# (new map, its faces) through _checked.  The public moves trace their input
-# and call the core.
 
 
-def _edge_index(ribbon_map: RibbonMap, label: str) -> int:
-    if label not in ribbon_map.edge_labels:
-        raise UnknownLabelError(f"unknown edge label {label!r}")
-    return ribbon_map.edge_labels.index(label)
+class _Form:
+    """A map under surgery, frozen into a RibbonMap once.  Dart ids never
+    change: a removed dart is marked ``dead``, and its ``sigma`` entry still
+    leads on to the first surviving dart after it.  ``inv`` is sigma's
+    inverse and ``order`` lists the live edge ids in edge order.  ``where``
+    keys each dart's face (by its smallest dart, until a delete merges
+    faces), ``flen`` maps face keys to lengths and ``fkeys`` lists them
+    sorted.  ``vert`` names each dart's star by one of its darts; ``starts``
+    holds each star's smallest dart in edge order, in that order."""
 
+    __slots__ = ("labels", "order", "sigma", "inv", "dead", "where", "flen",
+                 "fkeys", "vert", "starts")
 
-def _rebuild(ribbon_map: RibbonMap, rows: list) -> RibbonMap:
-    """The map on the surviving darts of ``ribbon_map``, one row per vertex.
-    Edges are renumbered in order of first appearance in the rows."""
-    new_edge = {}
-    for row in rows:
-        for d in row:
-            new_edge.setdefault(d >> 1, len(new_edge))
-    labels = [ribbon_map.edge_labels[k] for k in new_edge]
-    return _from_dart_rows(labels, [[2 * new_edge[d >> 1] + (d & 1) for d in row]
-                                    for row in rows])
+    def __init__(self, ribbon_map: RibbonMap, faces: list):
+        n = ribbon_map.num_darts
+        self.labels = list(ribbon_map.edge_labels)
+        self.order = list(range(ribbon_map.num_edges))
+        self.sigma = list(ribbon_map.sigma)
+        self.inv = [0] * n
+        for d, nxt in enumerate(self.sigma):
+            self.inv[nxt] = d
+        self.dead = bytearray(n)
+        self.where, self.flen = [0] * n, {}
+        for face in faces:
+            self.flen[face.darts[0] if face.darts else 0] = len(face)
+            for d in face.darts:
+                self.where[d] = face.darts[0]
+        self.fkeys = list(self.flen)
+        self.starts = [star[0] for star in ribbon_map._stars]
+        self.vert = [self.starts[v] for v in ribbon_map._vertex_of]
 
+    def _link(self, a: int, b: int) -> None:
+        """Make dart b follow dart a in their star."""
+        self.sigma[a] = b
+        self.inv[b] = a
 
-def _checked(before: RibbonMap, faces: list, after: RibbonMap,
-             dv: int, df: int, what: str):
-    """(after, its faces), once V and F are seen to change by (dv, df)."""
-    after_faces = trace_faces(after)
-    change = (after.num_vertices - before.num_vertices,
-              len(after_faces) - len(faces))
-    if change != (dv, df):
-        raise InternalInvariantViolation(
-            f"{what} changed (V, F) by {change}, not {(dv, df)}")
-    return after, after_faces
+    def _place(self, d: int, before: int) -> None:
+        self._link(self.inv[before], d)
+        self._link(d, before)
 
+    def _swap(self, d: int) -> None:
+        """Exchange the successors of d and d-bar: join or cut their stars."""
+        after_d, after_dbar = self.sigma[d], self.sigma[d + 1]
+        self._link(d, after_dbar)
+        self._link(d + 1, after_d)
 
-def _merging_edge(ribbon_map: RibbonMap, faces: list) -> Optional[str]:
-    """The first edge whose two sides lie on distinct faces, if any."""
-    where = face_of_dart(ribbon_map, faces)
-    return next((label for k, label in enumerate(ribbon_map.edge_labels)
-                 if where[2 * k] != where[2 * k + 1]), None)
+    def _cycle(self, d: int, flip: int = 0) -> list:
+        """The star (flip 0) or the face (flip 1) of dart d, read from d."""
+        sigma, out, x = self.sigma, [d], self.sigma[d ^ flip]
+        for _ in range(len(sigma)):
+            if x == d:
+                return out
+            out.append(x)
+            x = sigma[x ^ flip]
+        raise InternalInvariantViolation(f"walk from dart {d} does not close")
 
+    def edge(self, label: str) -> int:
+        if label not in self.labels:
+            raise UnknownLabelError(f"unknown edge label {label!r}")
+        return self.labels.index(label)
 
-def _delete(ribbon_map: RibbonMap, faces: list, label: str):
-    k = _edge_index(ribbon_map, label)
-    where = face_of_dart(ribbon_map, faces)
-    if where[2 * k] == where[2 * k + 1]:
-        raise PreconditionError(
-            f"edge {label!r} has both sides on one face; deleting it "
-            "would not merge faces")
-    rows = [[d for d in star if d >> 1 != k] for star in ribbon_map._stars]
-    return _checked(ribbon_map, faces, _rebuild(ribbon_map, rows), 0, -1,
-                    f"deleting {label!r}")
+    def first_edge(self, part: list) -> Optional[int]:
+        """The first edge with its darts on two faces (where) or stars (vert)."""
+        return next((e for e in self.order if part[2 * e] != part[2 * e + 1]), None)
+
+    def _remove(self, k: int, what: str) -> None:
+        """Splice edge k out of its stars and number the edges left by first
+        appearance over the old stars, as a rebuild would: in vertex order,
+        each read from its start or the first surviving dart after it.  Each
+        new star must close, and together they must cover the live darts."""
+        sigma, vert = self.sigma, self.vert
+        for d in (2 * k, 2 * k + 1):
+            self._link(self.inv[d], sigma[d])
+            self.dead[d] = 1
+        seen = bytearray(self.dead)
+        rank = [-1] * len(self.labels)
+        order, stars = [], []
+        for s in self.starts:
+            if s >> 1 == k:
+                s = sigma[s] if sigma[s] >> 1 != k else sigma[sigma[s]]
+                if s >> 1 == k:
+                    continue  # the star held edge k alone
+            if seen[s]:
+                raise InternalInvariantViolation(f"{what} joined two stars")
+            low = first = len(sigma)
+            x = s
+            while not seen[x]:
+                seen[x] = 1
+                vert[x] = s
+                r = rank[x >> 1]
+                if r < 0:
+                    r = rank[x >> 1] = 2 * len(order)
+                    order.append(x >> 1)
+                if r + (x & 1) < low:
+                    low, first = r + (x & 1), x
+                x = sigma[x]
+            if x != s:
+                raise InternalInvariantViolation(f"{what} broke a star")
+            stars.append((low, first))
+        if 0 in seen:
+            raise InternalInvariantViolation(f"{what} cut a star")
+        stars.sort()
+        self.order = order
+        self.starts = [x for _, x in stars]
+
+    def delete(self, k: int) -> None:
+        """Remove edge k, whose sides lie on faces A != B; the merged face
+        is walked and must hold |A| + |B| - 2 darts."""
+        d, label = 2 * k, self.labels[k]
+        a, b = self.where[d], self.where[d + 1]
+        if a == b:
+            raise PreconditionError(
+                f"edge {label!r} has both sides on one face; deleting it "
+                "would not merge faces")
+        start = next((x for x in (self.sigma[d + 1], self.sigma[d])
+                      if x >> 1 != k), None)
+        self._remove(k, f"deleting {label!r}")
+        merged = [] if start is None else self._cycle(start, 1)
+        if len(merged) != self.flen[a] + self.flen[b] - 2:
+            raise InternalInvariantViolation(f"deleting {label!r} merged no faces")
+        for x in merged:
+            self.where[x] = a
+        self.flen[a] = len(merged)
+        del self.flen[b]
+        self.fkeys.remove(b)
+
+    def contract(self, k: int) -> None:
+        """Contract the non-loop edge k: the head's star, read from just
+        after d-bar, takes the place of d in the tail's star.  Each face must
+        only skip d and d-bar, from the dart p before them to q after them."""
+        d, label = 2 * k, self.labels[k]
+        sigma, vert = self.sigma, self.vert
+        if vert[d] == vert[d + 1]:
+            raise LoopNotContractibleError(f"edge {label!r} is a loop")
+        ends = [(self.inv[x] ^ 1, sigma[x ^ 1]) for x in (d, d + 1)]
+        skips = [(p, q if q >> 1 != k else sigma[q ^ 1])
+                 for p, q in ends if p >> 1 != k]
+        self.starts.remove(next(s for s in self.starts if vert[s] == vert[d + 1]))
+        self._swap(d)
+        self._remove(k, f"contracting {label!r}")
+        if any(sigma[p ^ 1] != q for p, q in skips):
+            raise InternalInvariantViolation(f"contracting {label!r} changed a face")
+        self.flen[self.where[d]] -= 1
+        self.flen[self.where[d + 1]] -= 1
+
+    def _grow(self, label: str, where: tuple, vert: tuple) -> int:
+        """Append an edge, its darts fixed by sigma until placed; returns 2m."""
+        new = len(self.sigma)
+        self.labels.append(label)
+        self.order.append(new >> 1)
+        self.sigma += (new, new + 1)
+        self.inv += (new, new + 1)
+        self.dead += b"\0\0"
+        self.where += where
+        self.vert += vert
+        return new
+
+    def insert(self, label: str, f: int, corner_a: int, corner_b: int) -> None:
+        """Split face number f by a chord whose darts enter the stars just
+        before the darts at corner_a and corner_b.  The new faces must be
+        the two arcs of the old face, each closed by one side of the chord."""
+        if not 0 <= f < len(self.fkeys):
+            raise PreconditionError(f"face {f} out of range")
+        if label in self.labels:
+            raise PreconditionError(f"label {label!r} already in use")
+        key = self.fkeys[f]
+        face = self._cycle(key, 1) if self.order else []
+        _check_label(label)
+        i, j = (corner_a % len(face), corner_b % len(face)) if face else (0, 0)
+        if face:
+            new = self._grow(label, (key, key),
+                             (self.vert[face[i]], self.vert[face[j]]))
+            self._place(new, face[i])
+            self._place(new + 1, face[j])
+        else:  # the edgeless sphere: one loop at its vertex
+            new = self._grow(label, (0, 0), (0, 0))
+            self.starts = [new]
+            self._swap(new)
+        one, two = self._cycle(new, 1), self._cycle(new + 1, 1)
+        if (one[1:] != (face[j:i] if j < i else face[j:] + face[:i])
+                or two[1:] != (face[i:j] if i <= j else face[i:] + face[:j])):
+            raise InternalInvariantViolation(f"inserting {label!r} split no face")
+        kept, cut = (one, two) if key in one else (two, one)
+        other = min(cut)
+        for x in cut:
+            self.where[x] = other
+        self.flen[key], self.flen[other] = len(kept), len(cut)
+        insort(self.fkeys, other)
+
+    def split(self, label: str, v: int, cut_a: int, cut_b: int) -> None:
+        """Cut star number v before positions cut_a and cut_b (cut_a == cut_b
+        carries off a bare end) into two stars joined by a new edge, each in
+        its cyclic order.  The new stars are walked, and so are the faces
+        through the cut corners, which must gain the new darts and no more."""
+        if not 0 <= v < max(1, len(self.starts)):
+            raise PreconditionError(f"vertex {v} out of range")
+        if label in self.labels:
+            raise PreconditionError(f"label {label!r} already in use")
+        star = self._cycle(self.starts[v]) if self.order else []
+        if not star:
+            raise PreconditionError("cannot split an isolated vertex")
+        i, j = cut_a % len(star), cut_b % len(star)
+        arc_a = star[i:j] if i <= j else star[i:] + star[:j]
+        arc_b = star[j:] + star[:i] if j >= i else star[j:i]
+        _check_label(label)
+        new = self._grow(label, (self.where[star[j]], self.where[star[i]]),
+                         (star[0], star[0]))
+        self._place(new + 1, star[i])
+        self._place(new, star[j])
+        self._swap(new)
+        if self._cycle(new)[1:] != arc_a or self._cycle(new + 1)[1:] != arc_b:
+            raise InternalInvariantViolation(f"splitting off {label!r} cut no star")
+        for x in (new, new + 1):
+            self.flen[self.where[x]] += 1
+        if any(len(self._cycle(x, 1)) != self.flen[self.where[x]]
+               for x in (new, new + 1)):
+            raise InternalInvariantViolation(f"splitting off {label!r} changed a face")
+        row = arc_b + [new + 1] if star[0] in arc_a else arc_a + [new]
+        for x in row:
+            self.vert[x] = row[-1]
+        insort(self.starts, min(row))
+
+    def freeze(self) -> RibbonMap:
+        """The map, edges numbered in edge order, through _from_dart_rows."""
+        rank = {e: 2 * i for i, e in enumerate(self.order)}
+        rows = [[rank[x >> 1] + (x & 1) for x in self._cycle(s)] for s in self.starts]
+        return _from_dart_rows([self.labels[e] for e in self.order], rows or [[]])
 
 
 def delete_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     """Remove one edge whose sides lie on distinct faces, merging them; chi
     and connectedness are kept."""
-    return _delete(ribbon_map, trace_faces(ribbon_map), label)[0]
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form.delete(form.edge(label))
+    return form.freeze()
 
 
 def delete_face_merging_edge(ribbon_map: RibbonMap):
@@ -203,34 +383,11 @@ def delete_face_merging_edge(ribbon_map: RibbonMap):
     Returns (new map, deleted label), or None when every edge has both
     sides on one face -- in particular whenever F = 1.
     """
-    faces = trace_faces(ribbon_map)
-    label = _merging_edge(ribbon_map, faces)
-    return None if label is None else (_delete(ribbon_map, faces, label)[0], label)
-
-
-def _contract(ribbon_map: RibbonMap, faces: list, label: str):
-    d = 2 * _edge_index(ribbon_map, label)
-    dbar = d ^ 1
-    u = ribbon_map.vertex_of(d)
-    v = ribbon_map.vertex_of(dbar)
-    if u == v:
-        raise LoopNotContractibleError(f"edge {label!r} is a loop")
-    star_v = ribbon_map.star(v)
-    at = star_v.index(dbar)
-    splice = star_v[at + 1:] + star_v[:at]
-    rows = []
-    for w, star in enumerate(ribbon_map._stars):
-        if w == v:
-            continue
-        row = []
-        for x in star:
-            if x == d:
-                row.extend(splice)
-            else:
-                row.append(x)
-        rows.append(row)
-    return _checked(ribbon_map, faces, _rebuild(ribbon_map, rows), -1, 0,
-                    f"contracting {label!r}")
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    if (k := form.first_edge(form.where)) is None:
+        return None
+    form.delete(k)
+    return form.freeze(), form.labels[k]
 
 
 def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
@@ -240,36 +397,34 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     the head read cyclically from just after the opposite dart; V drops by
     one and F is untouched.
     """
-    return _contract(ribbon_map, trace_faces(ribbon_map), label)[0]
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form.contract(form.edge(label))
+    return form.freeze()
 
 
 def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
     """Delete face-merging edges until one face remains, then contract
     non-loop edges until one vertex remains.  Returns (map, MoveTrace).
-    Each map along the way is traced once; its faces are handed on."""
+    The chain runs on one working form, frozen and traced once at the end."""
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
     moves = []
-    current = ribbon_map
-    faces = trace_faces(current)
-    while True:
-        label = _merging_edge(current, faces)
-        if label is None:
-            break
-        current, faces = _delete(current, faces, label)
-        moves.append(DeleteEdge(label))
-    if current.num_edges:
-        if len(faces) != 1:
+    while (k := form.first_edge(form.where)) is not None:
+        moves.append(DeleteEdge(form.labels[k]))
+        form.delete(k)
+    if form.order and len(form.fkeys) != 1:
+        raise InternalInvariantViolation(
+            "several faces left but no edge separates two of them")
+    while len(form.starts) > 1:
+        k = form.first_edge(form.vert)
+        if k is None:
             raise InternalInvariantViolation(
-                "several faces left but no edge separates two of them")
-        while current.num_vertices > 1:
-            for k, label in enumerate(current.edge_labels):
-                if current.vertex_of(2 * k) != current.vertex_of(2 * k + 1):
-                    current, faces = _contract(current, faces, label)
-                    moves.append(ContractEdge(label))
-                    break
-            else:
-                raise InternalInvariantViolation(
-                    "several vertices left but every edge is a loop")
-    return current, MoveTrace(tuple(moves))
+                "several vertices left but every edge is a loop")
+        moves.append(ContractEdge(form.labels[k]))
+        form.contract(k)
+    reduced = form.freeze()
+    if reduced.num_vertices != 1 or len(trace_faces(reduced)) != 1:
+        raise InternalInvariantViolation("reduction left more than one vertex or face")
+    return reduced, MoveTrace(tuple(moves))
 
 
 def polygon_word(ribbon_map: RibbonMap) -> PolygonWord:
@@ -578,33 +733,6 @@ def replay(ribbon_map: RibbonMap, trace: MoveTrace) -> Optional[PolygonWord]:
 # -- randomized instance generator ------------------------------------------
 
 
-def _insert(ribbon_map: RibbonMap, faces: list, label: str, face_index: int,
-            corner_a: int, corner_b: int):
-    if ribbon_map.num_edges == 0:
-        _check_label(label)
-        return _checked(ribbon_map, faces, _from_dart_rows([label], [[0, 1]]),
-                        0, 1, f"inserting {label!r}")
-    if label in ribbon_map.edge_labels:
-        raise PreconditionError(f"label {label!r} already in use")
-    face = faces[face_index]
-    da = face.darts[corner_a % len(face)]
-    db = face.darts[corner_b % len(face)]
-    new = ribbon_map.num_darts
-    rows = []
-    for star in ribbon_map._stars:
-        row = []
-        for x in star:
-            if x == da:
-                row.append(new)
-            if x == db:
-                row.append(new + 1)
-            row.append(x)
-        rows.append(row)
-    _check_label(label)
-    result = _from_dart_rows(ribbon_map.edge_labels + (label,), rows)
-    return _checked(ribbon_map, faces, result, 0, 1, f"inserting {label!r}")
-
-
 def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
                 corner_a: int, corner_b: int) -> RibbonMap:
     """Split one face with a fresh chord between two of its corners.
@@ -613,38 +741,9 @@ def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
     just before the dart at ``corner_a`` (V stays, m and F grow by one).
     The edgeless sphere admits one insertion: the single loop.
     """
-    faces = trace_faces(ribbon_map)
-    if not 0 <= face_index < len(faces):
-        raise PreconditionError(f"face {face_index} out of range")
-    return _insert(ribbon_map, faces, label, face_index, corner_a, corner_b)[0]
-
-
-def _split(ribbon_map: RibbonMap, faces: list, label: str, vertex: int,
-           cut_a: int, cut_b: int):
-    if label in ribbon_map.edge_labels:
-        raise PreconditionError(f"label {label!r} already in use")
-    star = ribbon_map.star(vertex)
-    if not star:
-        raise PreconditionError("cannot split an isolated vertex")
-    deg = len(star)
-    i, j = cut_a % deg, cut_b % deg
-    if i == j:
-        # Degenerate cut: the new edge carries off a bare endpoint.
-        arc_a = []
-        arc_b = [star[(j + t) % deg] for t in range(deg)]
-    else:
-        arc_a = [star[(i + t) % deg] for t in range((j - i) % deg)]
-        arc_b = [star[(j + t) % deg] for t in range((i - j) % deg)]
-    new = ribbon_map.num_darts
-    rows = []
-    for v, star in enumerate(ribbon_map._stars):
-        if v == vertex:
-            rows.extend((arc_a + [new], arc_b + [new + 1]))
-        else:
-            rows.append(star)
-    _check_label(label)
-    result = _from_dart_rows(ribbon_map.edge_labels + (label,), rows)
-    return _checked(ribbon_map, faces, result, 1, 0, f"splitting off {label!r}")
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form.insert(label, face_index, corner_a, corner_b)
+    return form.freeze()
 
 
 def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
@@ -655,31 +754,32 @@ def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
     cyclic order and gains one side of the new edge.  Inverse to contracting
     that edge (V and m grow by one, F stays).
     """
-    if not 0 <= vertex < ribbon_map.num_vertices:
-        raise PreconditionError(f"vertex {vertex} out of range")
-    return _split(ribbon_map, trace_faces(ribbon_map), label, vertex,
-                  cut_a, cut_b)[0]
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form.split(label, vertex, cut_a, cut_b)
+    return form.freeze()
 
 
 def random_filling_map(g: int, moves: int, seed: int) -> RibbonMap:
     """A pseudorandom genus-g map: petal(g) blown up by ``moves`` inverse
     reduction moves (chord insertions and vertex splits).  Deterministic in
-    ``seed``; the genus never changes.  Each map is traced once."""
+    ``seed``; the genus never changes.  The moves run on one working form,
+    frozen and traced once at the end."""
     rng = random.Random(seed)
-    current = petal(g)
-    faces = trace_faces(current)
+    start = petal(g)
+    form = _Form(start, trace_faces(start))
     for i in range(1, moves + 1):
         label = f"e{i}"
-        if current.num_edges == 0 or rng.random() < 0.5:
-            f = rng.randrange(len(faces))
-            size = max(1, len(faces[f]))
-            current, faces = _insert(current, faces, label, f,
-                                     rng.randrange(size), rng.randrange(size))
+        if not form.order or rng.random() < 0.5:
+            f = rng.randrange(len(form.fkeys))
+            size = max(1, form.flen[form.fkeys[f]])
+            form.insert(label, f, rng.randrange(size), rng.randrange(size))
         else:
-            v = rng.randrange(current.num_vertices)
-            deg = len(current.star(v))
-            current, faces = _split(current, faces, label, v,
-                                    rng.randrange(deg), rng.randrange(deg))
-    if current.num_vertices - current.num_edges + len(faces) != 2 - 2 * g:
+            v = rng.randrange(len(form.starts))
+            deg = len(form._cycle(form.starts[v]))
+            form.split(label, v, rng.randrange(deg), rng.randrange(deg))
+    result = form.freeze()
+    faces = trace_faces(result)
+    if (len(faces) != len(form.fkeys) or
+            result.num_vertices - result.num_edges + len(faces) != 2 - 2 * g):
         raise InternalInvariantViolation("random moves changed the genus")
-    return current
+    return result

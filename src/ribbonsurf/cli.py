@@ -2,9 +2,10 @@
 
 Every subcommand prints a deterministic payload: byte-stable JSON documents
 for anything that produces a map, plain ``key: value`` lines otherwise.
-Exit codes: 0 success, 1 domain error (bad input, failed validation),
-2 usage error, 3 internal error (a failed consistency check or a stray
-IndexError: a bug in ribbonsurf, reported as ``internal error: ...``).
+Exit codes: 0 success, 1 domain error (bad input, failed validation, a
+request above a fixed size bound), 2 usage error, 3 internal error (a
+failed consistency check or a stray IndexError: a bug in ribbonsurf,
+reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from .groups import (
 from .iso import are_isomorphic
 from .maps import refine, validate_rotation_lists
 from .surfaces import petal, surface_report
+
+
+# Largest requests `random` and `petal` build; larger ones exit 1 at once.
+_MAX_RANDOM_MOVES = 100_000
+_MAX_GENUS = 10_000
 
 
 @dataclass(frozen=True)
@@ -295,9 +301,15 @@ def _run_cayley(args) -> CommandResult:
                                        f"cells: {len(ball.cells)}"]))
 
 
+def _check_genus(genus: int) -> None:
+    if genus > _MAX_GENUS:
+        raise PreconditionError(f"genus must be <= {_MAX_GENUS}")
+
+
 def _run_petal(args) -> CommandResult:
     if args.genus < 0:
         raise PreconditionError("genus must be >= 0")
+    _check_genus(args.genus)
     document = graph_io.serialize_graph(petal(args.genus),
                                         name=f"petal_{args.genus}")
     return CommandResult(0, document)
@@ -306,6 +318,9 @@ def _run_petal(args) -> CommandResult:
 def _run_random(args) -> CommandResult:
     if args.genus < 0 or args.moves < 0:
         raise PreconditionError("genus and moves must be >= 0")
+    _check_genus(args.genus)
+    if args.moves > _MAX_RANDOM_MOVES:
+        raise PreconditionError(f"moves must be <= {_MAX_RANDOM_MOVES}")
     ribbon_map = random_filling_map(args.genus, args.moves, args.seed)
     name = f"random_g{args.genus}_m{args.moves}_s{args.seed}"
     return CommandResult(0, graph_io.serialize_graph(ribbon_map, name=name))

@@ -1,7 +1,10 @@
+import hashlib
 import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonsurf import (
     Cancel,
@@ -27,6 +30,7 @@ from ribbonsurf import (
     insert_edge,
     is_canonical_word,
     normalize,
+    parse_graph,
     petal,
     polygon_word,
     random_filling_map,
@@ -34,14 +38,16 @@ from ribbonsurf import (
     refine,
     relabeled,
     replay,
+    serialize_graph,
     split_vertex,
     trace_faces,
     word_to_map,
 )
 from ribbonsurf import maps
+from ribbonsurf.surfaces import face_of_dart
 from ribbonsurf.classify import _strict_blocks as strict_blocks
 from ribbonsurf.classify import canonical_rotation
-from util import corpus
+from util import corpus, scramble
 
 classify_module = importlib.import_module("ribbonsurf.classify")
 
@@ -100,59 +106,235 @@ def test_delete_edge_rejects_bridges():
         delete_edge(path, "a", check_faces=False)
 
 
-def test_reduction_traces_each_map_once(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Wrap ``classify.<name>`` so that its calls are recorded."""
     calls = []
+    inner = getattr(classify_module, name)
+    monkeypatch.setattr(classify_module, name,
+                        lambda *args: calls.append(args) or inner(*args))
+    return calls
 
-    def counted(ribbon_map):
-        calls.append(ribbon_map)
-        return trace_faces(ribbon_map)
 
-    monkeypatch.setattr(classify_module, "trace_faces", counted)
-    for _, m in corpus(20, seed=4):
-        calls.clear()
+def test_reduction_traces_each_map_once(monkeypatch):
+    # The chain runs on one working form: its input and its result are the
+    # only maps, each traced once, and only the result is built.
+    traced = count_calls(monkeypatch, "trace_faces")
+    built = count_calls(monkeypatch, "_from_dart_rows")
+    maps = [m for _, m in corpus(20, seed=4)] + [random_filling_map(3, 60, 1)]
+    for m in maps:
+        traced.clear()
+        built.clear()
         reduced, trace = reduce_to_one_vertex_one_face(m)
-        assert len(calls) == len(trace) + 1
-        assert len({id(c) for c in calls}) == len(calls)
-        assert reduced in calls
+        assert len(traced) <= 2 and traced[0] == (m,)
+        assert len(built) == 1
 
 
 def test_generator_traces_each_map_once(monkeypatch):
-    calls = []
-
-    def counted(ribbon_map):
-        calls.append(ribbon_map)
-        return trace_faces(ribbon_map)
-
-    monkeypatch.setattr(classify_module, "trace_faces", counted)
+    traced = count_calls(monkeypatch, "trace_faces")
+    built = count_calls(monkeypatch, "_from_dart_rows")
     for g, k, seed in [(0, 0, 1), (0, 9, 2), (1, 6, 3), (2, 25, 4), (3, 40, 5)]:
-        calls.clear()
+        traced.clear()
+        built.clear()
         m = random_filling_map(g, k, seed)
-        assert len(calls) == k + 1
-        assert len({id(c) for c in calls}) == len(calls)
-        assert calls[-1] is m
+        assert len(traced) <= 2 and traced[-1] == (m,)
+        assert len(built) == 1
+
+
+def swap_with_wrong_partner(swap, form, d):
+    """Exchange the successors of d and the dart after d-bar, not d-bar."""
+    x = form.sigma[d + 1]
+    after_d, after_x = form.sigma[d], form.sigma[x]
+    form._link(d, after_x)
+    form._link(x, after_d)
+
+
+# Wrong edits made through each primitive of the working form: a link to the
+# wrong dart or a link left out (sigma stops being a permutation), a dart put
+# in at the wrong corner, a swap left out or made with the wrong partner
+# (sigma stays one).
+WRONG_EDITS = {
+    "_link": [lambda link, form, a, b: link(form, a, b ^ 1),
+              lambda link, form, a, b: link(form, a, form.sigma[b]),
+              lambda link, form, a, b: None],
+    "_place": [lambda place, form, d, before: place(form, d, form.sigma[before])],
+    "_swap": [lambda swap, form, d: None, swap_with_wrong_partner],
+}
+
+
+def wrong_edits(monkeypatch, run):
+    """Run ``run`` once plainly, then once per primitive call it makes and
+    per wrong edit of that primitive, with that one call made wrong.  Each
+    wrong edit must raise InternalInvariantViolation or be undone by later
+    edits (the result is unchanged); returns how many raised."""
+    expected = repr(run())
+    caught = 0
+    for name, wrongs in WRONG_EDITS.items():
+        right = getattr(classify_module._Form, name)
+        for wrong in wrongs:
+            t = 0
+            while True:
+                calls = []
+
+                def edit(form, *args, wrong=wrong, t=t):
+                    calls.append(args)
+                    if len(calls) == t + 1:
+                        return wrong(right, form, *args)
+                    return right(form, *args)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(classify_module._Form, name, edit)
+                    try:
+                        result = repr(run())
+                    except InternalInvariantViolation:
+                        caught += 1
+                        result = expected
+                if len(calls) <= t:
+                    break
+                assert result == expected, (name, t)
+                t += 1
+    return caught
 
 
 def test_every_public_move_is_checked(monkeypatch):
-    # A move that builds its input again changes neither V nor F, so each
-    # public move must report it as a bug.
+    # A wrong edit inside any of the four working-form moves is reported as
+    # a bug, whether the move is made alone or inside either chain.
     theta = from_rotation_lists(
         ["e1", "e2", "e3"],
         [["e1+", "e2+", "e3+"], ["e1-", "e3-", "e2-"]])
     torus = petal(1)
     edgeless = from_rotation_lists([], [[]])
-    cases = [
-        ("_rebuild", theta, lambda: delete_edge(theta, "e1")),
-        ("_rebuild", theta, lambda: delete_face_merging_edge(theta)),
-        ("_rebuild", theta, lambda: contract_edge(theta, "e2")),
-        ("_from_dart_rows", torus, lambda: insert_edge(torus, "x", 0, 0, 2)),
-        ("_from_dart_rows", edgeless, lambda: insert_edge(edgeless, "x", 0, 0, 0)),
-        ("_from_dart_rows", torus, lambda: split_vertex(torus, "x", 0, 1, 3)),
+    tree = from_rotation_lists(["a", "b"], [["a+", "b+"], ["a-"], ["b-"]])
+    moves = [
+        lambda: delete_edge(theta, "e1"),
+        lambda: delete_face_merging_edge(theta),
+        lambda: contract_edge(theta, "e2"),
+        lambda: contract_edge(tree, "a"),
+        lambda: insert_edge(torus, "x", 0, 0, 2),
+        lambda: insert_edge(torus, "x", 0, 1, 1),
+        lambda: insert_edge(edgeless, "x", 0, 0, 0),
+        lambda: split_vertex(torus, "x", 0, 1, 3),
+        lambda: split_vertex(torus, "x", 0, 2, 2),
+        lambda: random_filling_map(2, 12, 2),
+        lambda: reduce_to_one_vertex_one_face(random_filling_map(1, 10, 1)),
     ]
-    for constructor, m, move in cases:
-        with monkeypatch.context() as patch:
-            patch.setattr(classify_module, constructor, lambda *args, m=m: m)
-            with pytest.raises(InternalInvariantViolation):
-                move()
+    for move in moves:
+        assert wrong_edits(monkeypatch, move) > 0
+
+
+def reference_rebuild(ribbon_map, rows):
+    """The map on the darts left in ``rows``, edges renumbered in order of
+    first appearance (the per-move rebuild the working form replaced)."""
+    new_edge = {}
+    for row in rows:
+        for d in row:
+            new_edge.setdefault(d >> 1, len(new_edge))
+    labels = [ribbon_map.edge_labels[k] for k in new_edge]
+    return maps._from_dart_rows(
+        labels, [[2 * new_edge[d >> 1] + (d & 1) for d in row] for row in rows])
+
+
+def reference_reduce(ribbon_map):
+    """reduce_to_one_vertex_one_face as it was before the working form:
+    every move rebuilt the whole map and traced it again."""
+    current, moves = ribbon_map, []
+    while True:
+        where = face_of_dart(current)
+        k = next((k for k in range(current.num_edges)
+                  if where[2 * k] != where[2 * k + 1]), None)
+        if k is None:
+            break
+        moves.append(DeleteEdge(current.edge_labels[k]))
+        current = reference_rebuild(
+            current, [[d for d in star if d >> 1 != k] for star in current._stars])
+    while current.num_edges and current.num_vertices > 1:
+        k = next(k for k in range(current.num_edges)
+                 if current.vertex_of(2 * k) != current.vertex_of(2 * k + 1))
+        d, v = 2 * k, current.vertex_of(2 * k + 1)
+        star_v = current.star(v)
+        at = star_v.index(d + 1)
+        splice = list(star_v[at + 1:] + star_v[:at])
+        rows = [[y for x in star for y in (splice if x == d else [x])]
+                for w, star in enumerate(current._stars) if w != v]
+        moves.append(ContractEdge(current.edge_labels[k]))
+        current = reference_rebuild(current, rows)
+    return current, MoveTrace(tuple(moves))
+
+
+def reference_random_filling_map(g, moves, seed):
+    """random_filling_map as it was before the working form: every move
+    rebuilt the whole map from dart rows, and the next move traced it."""
+    rng = random.Random(seed)
+    current = petal(g)
+    for i in range(1, moves + 1):
+        label, faces = f"e{i}", trace_faces(current)
+        new = current.num_darts
+        if current.num_edges == 0:
+            for _ in range(3):  # face 0 and two corners of its empty boundary
+                rng.randrange(1)
+            current = maps._from_dart_rows([label], [[0, 1]])
+            continue
+        if rng.random() < 0.5:
+            face = faces[rng.randrange(len(faces))].darts
+            da = face[rng.randrange(len(face))]
+            db = face[rng.randrange(len(face))]
+            rows = [[y for x in star for y in ([new] * (x == da) + [new + 1] * (x == db)
+                                               + [x])]
+                    for star in current._stars]
+        else:
+            v = rng.randrange(current.num_vertices)
+            star = current.star(v)
+            i, j = rng.randrange(len(star)), rng.randrange(len(star))
+            arc_a = [star[(i + t) % len(star)] for t in range((j - i) % len(star))]
+            arc_b = [star[(j + t) % len(star)]
+                     for t in range((i - j) % len(star) or len(star))]
+            rows = [list(s) for w, s in enumerate(current._stars) if w != v]
+            rows[v:v] = [arc_a + [new], arc_b + [new + 1]]
+        current = maps._from_dart_rows(current.edge_labels + (label,), rows)
+    return current
+
+
+def reduction_outcome(m):
+    reduced, trace = reduce_to_one_vertex_one_face(m)
+    return reduced.edge_labels, reduced.sigma, trace
+
+
+def reference_outcome(m):
+    reduced, trace = reference_reduce(m)
+    return reduced.edge_labels, reduced.sigma, trace
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 5), st.integers(0, 60), st.integers(0, 10 ** 6))
+def test_working_form_matches_rebuild_reference(g, k, seed):
+    m = random_filling_map(g, k, seed)
+    expected = reference_random_filling_map(g, k, seed)
+    assert (m.edge_labels, m.sigma) == (expected.edge_labels, expected.sigma)
+    copies = [m, parse_graph(serialize_graph(m)), refine(m),
+              scramble(m, random.Random(seed))]
+    for copy in copies:
+        assert reduction_outcome(copy) == reference_outcome(copy)
+
+
+def maps_large_triples(count, seed):
+    """(genus, moves, seed) with the sizes of the maps_large benchmark."""
+    rng = random.Random(seed)
+    strata = ((3, 40, 200), (10, 40, 200), (24, 20, 60))
+    for i in range(count):
+        g, low, high = strata[i % 3]
+        yield g, rng.randint(low, high), rng.randrange(10 ** 9)
+
+
+def test_pinned_large_maps_and_reductions():
+    # Captured with the per-move rebuild, before the working form.
+    digest = hashlib.sha256()
+    for g, k, seed in maps_large_triples(300, 2026):
+        m = random_filling_map(g, k, seed)
+        digest.update(serialize_graph(m).encode())
+        reduced, trace = reduce_to_one_vertex_one_face(m)
+        digest.update(repr(trace.moves).encode())
+        digest.update(serialize_graph(reduced).encode())
+    assert digest.hexdigest() == (
+        "b2bd8af630134b201cef463befde9920da0145e4db8ebb00d7924f4d0998eaaf")
 
 
 def test_contract_move_merges_two_vertices():

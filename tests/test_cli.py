@@ -156,6 +156,30 @@ def test_bad_base_vertex_is_a_domain_error():
         assert run(*argv, expect=1) == f"error: vertex {n} out of range"
 
 
+def test_unbounded_requests_are_refused(monkeypatch):
+    # The bounds are checked before anything is built: the builders are
+    # replaced by stubs, so no request here builds a large map.
+    built = []
+    small = cli.petal(0)
+    monkeypatch.setattr(cli, "random_filling_map",
+                        lambda g, moves, seed: built.append((g, moves)) or small)
+    monkeypatch.setattr(cli, "petal", lambda g: built.append((g,)) or small)
+    moves, genus = cli._MAX_RANDOM_MOVES, cli._MAX_GENUS
+    refused = [
+        (("random", "--genus", "1", "--moves", str(moves + 1)),
+         f"error: moves must be <= {moves}"),
+        (("random", "--genus", str(genus + 1), "--moves", "0"),
+         f"error: genus must be <= {genus}"),
+        (("petal", str(genus + 1)), f"error: genus must be <= {genus}"),
+    ]
+    for argv, message in refused:
+        assert dispatch(list(argv)) == CommandResult(1, message)
+    assert not built
+    run("random", "--genus", str(genus), "--moves", str(moves))
+    run("petal", str(genus))
+    assert built == [(genus, moves), (genus,)]
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io as stdio
     text = (DATA / "petal_1.json").read_text()
