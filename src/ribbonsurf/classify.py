@@ -11,8 +11,9 @@ its end.  The surviving map's single face spells a polygon word in which
 every edge label appears once per sign.  Cut-and-glue rewriting brings that
 word to the canonical form x1 y1 x1' y1' ... xg yg xg' yg', whose length
 names the genus directly.  Every step is recorded in a replayable
-MoveTrace, and the word after every move is checked against the
-independent chi oracle word_to_map.
+MoveTrace, and the word after every move must keep the genus: a chi oracle
+counts the corner classes of the glued polygon in one pass.  word_to_map,
+which builds the glued map, is the reference the oracle is tested against.
 """
 
 from __future__ import annotations
@@ -441,6 +442,36 @@ def polygon_word(ribbon_map: RibbonMap) -> PolygonWord:
     return PolygonWord(faces[0].word(ribbon_map))
 
 
+def _corner_classes(letters: Sequence) -> list:
+    """The corner classes of the polygon glued from ``letters``: the orbits
+    of i -> partner(i) + 1 over positions, each read from its smallest
+    position.  The same pass checks that every label appears once per sign,
+    raising MalformedWordError as PolygonWord does."""
+    n = len(letters)
+    partner, first = [-1] * n, {}
+    for i, ref in enumerate(letters):
+        j = first.setdefault(ref.label, i)
+        if j != i:
+            if partner[j] >= 0 or letters[j].sign == ref.sign:
+                break  # a third occurrence, or a second with the same sign
+            partner[i], partner[j] = j, i
+    if -1 in partner:
+        PolygonWord(letters)  # raises, naming the first bad label
+    seen = bytearray(n)
+    classes = []
+    for start in range(n):
+        orbit, i = [], start
+        while not seen[i]:
+            seen[i] = 1
+            orbit.append(i)
+            i = partner[i] + 1
+            if i == n:
+                i = 0
+        if orbit:
+            classes.append(orbit)
+    return classes
+
+
 def word_to_map(word) -> RibbonMap:
     """Rebuild the quotient map of a polygon word.
 
@@ -451,34 +482,13 @@ def word_to_map(word) -> RibbonMap:
     """
     if not isinstance(word, PolygonWord):
         word = PolygonWord(word)
-    n = len(word)
     labels = list(dict.fromkeys(ref.label for ref in word.letters))
     for label in labels:
         _check_label(label)
     index = {label: k for k, label in enumerate(labels)}
     darts = [2 * index[ref.label] + (0 if ref.sign > 0 else 1) for ref in word.letters]
-    partner = {}
-    other = [0] * n
-    for i, ref in enumerate(word.letters):
-        j = partner.pop(ref.label, None)
-        if j is None:
-            partner[ref.label] = i
-        else:
-            other[i], other[j] = j, i
-    sigma = [(other[i] + 1) % n for i in range(n)]
-    seen = [False] * n
-    rows = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        row = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            row.append(darts[i])
-            i = sigma[i]
-        rows.append(row)
-    return _from_dart_rows(labels, rows)
+    return _from_dart_rows(labels, [[darts[i] for i in orbit]
+                                    for orbit in _corner_classes(word.letters)])
 
 
 # -- word-level moves ------------------------------------------------------
@@ -559,13 +569,15 @@ def _gathered_labels(letters: list) -> set:
 
 def _aligned_rotations(letters: list) -> list:
     """Positions p from which the word reads x1 y1 x1' y1' ...: every
-    (p + 4i) mod n is a block start."""
+    (p + 4i) mod n is a block start.  That set is the residue class of p
+    mod 4, so each of the four classes is checked once."""
     n = len(letters)
     if n % 4:
         return []
-    starts = set(_strict_blocks(letters))
-    return [p for p in sorted(starts)
-            if all((p + q) % n in starts for q in range(0, n, 4))]
+    starts = _strict_blocks(letters)
+    is_start = set(starts)
+    full = [all(p in is_start for p in range(r, n, 4)) for r in range(4)]
+    return [p for p in starts if full[p % 4]]
 
 
 def is_canonical_word(word) -> bool:
@@ -575,17 +587,26 @@ def is_canonical_word(word) -> bool:
 
 
 def canonical_rotation(letters: list) -> list:
-    """Rotate a fully gathered word to its least block-aligned rotation."""
+    """Rotate a fully gathered word to its least block-aligned rotation.
+    A polygon word's tokens are distinct, so its first token decides."""
     if not letters:
         return []
-    candidates = [letters[p:] + letters[:p] for p in _aligned_rotations(letters)]
-    if not candidates:
+    aligned = _aligned_rotations(letters)
+    if not aligned:
         raise InternalInvariantViolation("word is not fully gathered")
-    return min(candidates, key=lambda ls: [ref.token() for ref in ls])
+    p = min(aligned, key=lambda p: letters[p].token())
+    return letters[p:] + letters[:p]
 
 
 def _oracle_genus(letters: list) -> int:
-    return genus(word_to_map(PolygonWord(letters))) if letters else 0
+    """The genus (n/2 - V + 1) / 2 of the one-face surface glued from the
+    word, V its corner classes."""
+    if not letters:
+        return 0
+    twice = len(letters) // 2 + 1 - len(_corner_classes(letters))
+    if twice % 2 or twice < 0:
+        raise InternalInvariantViolation(f"impossible Euler characteristic {2 - twice}")
+    return twice // 2
 
 
 def _fresh_label(used: set, counter: list) -> str:
@@ -635,10 +656,12 @@ def normalize(word):
     Returns (canonical PolygonWord, MoveTrace).  Adjacent inverse pairs are
     cancelled, then linked pairs are gathered into blocks x y x' y' until the
     word is a concatenation of such blocks; the genus can then be read off as
-    length/4.  The word after every move is checked against the word_to_map
-    chi oracle.
+    length/4.  After every move the genus is recounted from the corner
+    classes of the glued polygon and must not change.
     """
     letters = list(PolygonWord(word).letters)
+    for ref in letters:
+        _check_label(ref.label)
     target = _oracle_genus(letters)
     used = {ref.label for ref in letters}
     counter = [1]

@@ -6,6 +6,15 @@ Exit codes: 0 success, 1 domain error (bad input, failed validation, a
 request above a fixed size bound), 2 usage error, 3 internal error (a
 failed consistency check or a stray IndexError: a bug in ribbonsurf,
 reported as ``internal error: ...``).
+
+The size bounds are checked before any work.  `random` takes at most
+100,000 moves, and `random` and `petal` a genus of at most 10,000.  A
+group spec takes a rank or genus of at most 100, and `trivial` a word of
+at most 100,000 characters.  `cayley` refuses a radius above 2,000, or
+one whose ball may hold more than 2,000 elements.  That size is exact for
+free groups (2r + 1 at rank 1, 1 + 2k((2k-1)^r - 1)/(2k-2) at rank k >= 2)
+and for zxz (2r^2 + 2r + 1); for surface:g it is the bound of the free
+group of rank 2g.
 """
 
 from __future__ import annotations
@@ -42,9 +51,12 @@ from .maps import refine, validate_rotation_lists
 from .surfaces import petal, surface_report
 
 
-# Largest requests `random` and `petal` build; larger ones exit 1 at once.
+# Largest requests served; larger ones exit 1 before any work.
 _MAX_RANDOM_MOVES = 100_000
 _MAX_GENUS = 10_000
+_MAX_SPEC = 100  # the surface word-problem solver keeps O(g^2) pieces
+_MAX_WORD_CHARS = 100_000
+_MAX_BALL = 2_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,9 @@ def parse_group_spec(spec: str) -> Presentation:
             raise PreconditionError(f"bad group spec {spec!r}") from None
         if value < 0:
             raise PreconditionError(f"bad group spec {spec!r}")
+        if value > _MAX_SPEC:
+            raise PreconditionError(
+                f"bad group spec {spec!r}: rank and genus must be <= {_MAX_SPEC}")
         return free_presentation(value) if kind == "free" else surface_group(value)
     raise PreconditionError(
         f"bad group spec {spec!r}: expected free:<rank>, surface:<genus>, or zxz")
@@ -260,6 +275,8 @@ def _run_pi1(args) -> CommandResult:
 
 
 def _run_trivial(args) -> CommandResult:
+    if len(args.word) > _MAX_WORD_CHARS:
+        raise PreconditionError(f"word must be at most {_MAX_WORD_CHARS} characters")
     pres = parse_group_spec(args.group)
     word = graph_io.parse_word(args.word, generators=pres.generators)
     verdict = is_trivial_word(word, pres)
@@ -290,8 +307,31 @@ def _run_homotopic(args) -> CommandResult:
     return CommandResult(0, f"homotopic: {'true' if verdict else 'false'}")
 
 
+def _ball_bound(spec: str, rank: int, radius: int) -> int:
+    """Elements in the radius ball, or some number above _MAX_BALL once it
+    passes that: the lattice diamond for zxz, else the ball of the free
+    group of the same rank (exact for free groups, an upper bound for
+    surface groups)."""
+    if spec == "zxz":
+        return 2 * radius * radius + 2 * radius + 1
+    size, sphere = 1, 2 * rank
+    for _ in range(radius):
+        if size > _MAX_BALL or not sphere:
+            break
+        size += sphere
+        sphere *= 2 * rank - 1
+    return size
+
+
 def _run_cayley(args) -> CommandResult:
-    ball = cayley_ball(parse_group_spec(args.group), args.radius)
+    pres = parse_group_spec(args.group)
+    if args.radius > _MAX_BALL:
+        raise PreconditionError(f"radius must be <= {_MAX_BALL}")
+    if _ball_bound(args.group, len(pres.generators), args.radius) > _MAX_BALL:
+        raise PreconditionError(
+            f"radius {args.radius} is too large for {args.group}: "
+            f"the ball may hold more than {_MAX_BALL} elements")
+    ball = cayley_ball(pres, args.radius)
     if args.dot:
         return CommandResult(0, graph_io.cayley_ball_to_dot(ball))
     if args.as_json:

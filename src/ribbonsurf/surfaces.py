@@ -11,7 +11,6 @@ filled surface has Euler characteristic chi = V - m + F and genus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import InternalInvariantViolation, PreconditionError
 from .maps import RibbonMap, _from_dart_rows
@@ -68,17 +67,6 @@ def trace_faces(ribbon_map: RibbonMap) -> list:
     if sum(len(f) for f in faces) != n:
         raise InternalInvariantViolation("faces do not partition the darts")
     return faces
-
-
-def face_of_dart(ribbon_map: RibbonMap, faces: Sequence[Face] = None) -> list:
-    """Index of the face containing each dart."""
-    if faces is None:
-        faces = trace_faces(ribbon_map)
-    where = [0] * ribbon_map.num_darts
-    for i, face in enumerate(faces):
-        for d in face.darts:
-            where[d] = i
-    return where
 
 
 def euler_characteristic(ribbon_map: RibbonMap) -> int:

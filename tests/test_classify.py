@@ -44,7 +44,6 @@ from ribbonsurf import (
     word_to_map,
 )
 from ribbonsurf import maps
-from ribbonsurf.surfaces import face_of_dart
 from ribbonsurf.classify import _strict_blocks as strict_blocks
 from ribbonsurf.classify import canonical_rotation
 from util import corpus, scramble
@@ -233,6 +232,15 @@ def reference_rebuild(ribbon_map, rows):
         labels, [[2 * new_edge[d >> 1] + (d & 1) for d in row] for row in rows])
 
 
+def face_of_dart(ribbon_map):
+    """Index of the face containing each dart."""
+    where = [0] * ribbon_map.num_darts
+    for i, face in enumerate(trace_faces(ribbon_map)):
+        for d in face.darts:
+            where[d] = i
+    return where
+
+
 def reference_reduce(ribbon_map):
     """reduce_to_one_vertex_one_face as it was before the working form:
     every move rebuilt the whole map and traced it again."""
@@ -335,6 +343,18 @@ def test_pinned_large_maps_and_reductions():
         digest.update(serialize_graph(reduced).encode())
     assert digest.hexdigest() == (
         "b2bd8af630134b201cef463befde9920da0145e4db8ebb00d7924f4d0998eaaf")
+
+
+def test_pinned_large_words():
+    # Captured before the corner-class oracle and the O(n) rotation.
+    digest = hashlib.sha256()
+    for g, k, seed in maps_large_triples(300, 2026):
+        reduced, _ = reduce_to_one_vertex_one_face(random_filling_map(g, k, seed))
+        word, trace = normalize(polygon_word(reduced))
+        digest.update(" ".join(word.tokens()).encode())
+        digest.update(repr(trace.moves).encode())
+    assert digest.hexdigest() == (
+        "a14fb667972fd1183c15416a16eb8c9c87731cf1a7d8cb9ff70d6d5f06b6288d")
 
 
 def test_contract_move_merges_two_vertices():
@@ -549,8 +569,9 @@ def test_new_edge_labels_are_checked():
             insert_edge(m, "1x", 0, 0, 1)
     with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
         split_vertex(petal(1), "1x", 0, 1, 3)
-    with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
-        word_to_map(PolygonWord([("1x", 1), ("1x", -1)]))
+    for build in (word_to_map, normalize):
+        with pytest.raises(MapError, match=r"^bad edge label '1x'$"):
+            build(PolygonWord([("1x", 1), ("1x", -1)]))
 
 
 def test_moves_edit_darts_without_tokens(monkeypatch):
@@ -573,6 +594,62 @@ def test_random_filling_map_deterministic():
     assert a == b
     assert random_filling_map(1, 0, 0) == petal(1)
     assert genus(random_filling_map(0, 5, 3)) == 0
+
+
+def word_moves(word):
+    """The word, then the word after each move normalize makes on it."""
+    letters = list(word)
+    yield letters
+    for move in normalize(word)[1]:
+        letters = classify_module.apply_word_move(letters, move)
+        yield letters
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 60), st.integers(0, 10 ** 6))
+def test_corner_class_oracle_matches_word_to_map(g, k, seed):
+    # Reduced words, every intermediate word of normalize, and shuffles of
+    # them (valid words of other genera), from the map and a scrambled copy.
+    rng = random.Random(seed)
+    m = random_filling_map(g, k, seed)
+    for copy in (m, scramble(m, rng)):
+        reduced, _ = reduce_to_one_vertex_one_face(copy)
+        if reduced.num_edges == 0:
+            continue
+        for letters in word_moves(polygon_word(reduced)):
+            shuffled = rng.sample(letters, len(letters))
+            assert classify_module._oracle_genus(letters) == g
+            for w in (letters, shuffled):
+                expected = genus(word_to_map(PolygonWord(w))) if w else 0
+                assert classify_module._oracle_genus(w) == expected
+
+
+def test_oracle_checks_each_label_once_per_sign():
+    for text in ("a", "aa", "aAa", "abAB" + "a", "abBa", "aBbA" + "Cc" + "d", "baaB"):
+        letters = [DartRef(c.lower(), 1 if c.islower() else -1) for c in text]
+        with pytest.raises(MalformedWordError) as expected:
+            PolygonWord(letters)
+        with pytest.raises(MalformedWordError) as got:
+            classify_module._oracle_genus(letters)
+        assert str(got.value) == str(expected.value)
+
+
+def test_word_moves_are_checked(monkeypatch):
+    # A move that returns a valid word of another genus is reported as a bug:
+    # one that adds a handle, and one that returns the sphere's word.
+    inner = classify_module.apply_word_move
+    handle = [DartRef("q1", 1), DartRef("q2", 1), DartRef("q1", -1), DartRef("q2", -1)]
+    sphere = [DartRef("q1", 1), DartRef("q1", -1)]
+    mutants = [(lambda letters, move: inner(letters, move) + handle,
+                ("aA", "abcABC", "abcdABCD")),
+               (lambda letters, move: sphere, ("abcABC", "abcdABCD"))]
+    for mutant, texts in mutants:
+        monkeypatch.setattr(classify_module, "apply_word_move", mutant)
+        for text in texts:
+            letters = [(c.lower(), 1 if c.islower() else -1) for c in text]
+            with pytest.raises(InternalInvariantViolation,
+                               match=r"^move .* changed the surface$"):
+                normalize(PolygonWord(letters))
 
 
 def test_polygon_word_validates_letters():

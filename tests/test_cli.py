@@ -11,6 +11,7 @@ from ribbonsurf import (
     free_presentation,
     surface_group,
 )
+from ribbonsurf.cayley import cayley_ball as real_ball
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -157,27 +158,60 @@ def test_bad_base_vertex_is_a_domain_error():
 
 
 def test_unbounded_requests_are_refused(monkeypatch):
-    # The bounds are checked before anything is built: the builders are
-    # replaced by stubs, so no request here builds a large map.
+    # The bounds are checked before any work: the map and ball builders and
+    # the word parser are replaced by stubs, so no request here is large.
     built = []
     small = cli.petal(0)
     monkeypatch.setattr(cli, "random_filling_map",
                         lambda g, moves, seed: built.append((g, moves)) or small)
     monkeypatch.setattr(cli, "petal", lambda g: built.append((g,)) or small)
+    monkeypatch.setattr(cli, "cayley_ball",
+                        lambda pres, r: built.append(("ball", r)) or real_ball(pres, 0))
+    monkeypatch.setattr(cli.graph_io, "parse_word",
+                        lambda text, generators: built.append(("word", len(text))) or ())
     moves, genus = cli._MAX_RANDOM_MOVES, cli._MAX_GENUS
+    spec, chars, ball = cli._MAX_SPEC, cli._MAX_WORD_CHARS, cli._MAX_BALL
+
+    def too_big(group, radius):
+        return (f"error: radius {radius} is too large for {group}: "
+                f"the ball may hold more than {ball} elements")
+
+    # Largest radius served: 2r + 1, 2r^2 + 2r + 1, 1 + 4(3^r - 1)/2 and the
+    # free bound 1 + 4g((4g - 1)^r - 1)/(4g - 2) (457 at g = 2, r = 3).  They
+    # cover every benchmark request (r <= 2) and acceptance criterion 8.
+    largest = {"free:1": (ball - 1) // 2, "zxz": 31, "free:2": 6,
+               "surface:2": 3, "surface:3": 3, "free:0": ball,
+               f"surface:{spec}": 1}
     refused = [
         (("random", "--genus", "1", "--moves", str(moves + 1)),
          f"error: moves must be <= {moves}"),
         (("random", "--genus", str(genus + 1), "--moves", "0"),
          f"error: genus must be <= {genus}"),
         (("petal", str(genus + 1)), f"error: genus must be <= {genus}"),
+        (("trivial", "--group", "free:2", "a" * (chars + 1)),
+         f"error: word must be at most {chars} characters"),
+        (("trivial", "--group", f"surface:{spec + 1}", "a"),
+         f"error: bad group spec 'surface:{spec + 1}': rank and genus must be <= {spec}"),
+        (("cayley", "--group", f"free:{spec + 1}", "--radius", "0"),
+         f"error: bad group spec 'free:{spec + 1}': rank and genus must be <= {spec}"),
+        (("cayley", "--group", "free:0", "--radius", str(ball + 1)),
+         f"error: radius must be <= {ball}"),
+        (("cayley", "--group", "free:3", "--radius", str(10 ** 30)),
+         f"error: radius must be <= {ball}"),
     ]
+    refused += [(("cayley", "--group", group, "--radius", str(r + 1)),
+                 too_big(group, r + 1))
+                for group, r in largest.items() if group != "free:0"]
     for argv, message in refused:
         assert dispatch(list(argv)) == CommandResult(1, message)
     assert not built
     run("random", "--genus", str(genus), "--moves", str(moves))
     run("petal", str(genus))
-    assert built == [(genus, moves), (genus,)]
+    run("trivial", "--group", f"surface:{spec}", "a" * chars)
+    for group, r in largest.items():
+        run("cayley", "--group", group, "--radius", str(r))
+    assert built == ([(genus, moves), (genus,), ("word", chars)]
+                     + [("ball", r) for r in largest.values()])
 
 
 def test_stdin_input(monkeypatch, capsys):
