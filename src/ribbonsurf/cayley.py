@@ -11,6 +11,12 @@ different keys are different elements, because every supported relator
 has zero exponent sum in each generator.  The key is exact for free groups
 and Z x Z; for genus >= 2 words sharing a key are compared by Dehn's
 algorithm (u = v iff u v' is trivial).
+
+Every word the ball, edge and cell loops look up is one letter away from a
+freely reduced word whose key is known, so each is made by one solver step:
+the letter cancels the last one or is appended, and the key is carried from
+the parent's (the new word itself, or one exponent sum moved by one).  Only
+the Dehn comparisons of genus >= 2 read whole words.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalInvariantViolation, PreconditionError
-from .groups import Presentation, Solver, free_reduce, invert_word
+from .groups import Presentation, Solver
 
 
 @dataclass(frozen=True)
@@ -46,46 +52,47 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     solver = Solver(pres)
-    words = [()]
-    by_key = {solver.key(()): [0]}
+    words, keys = [()], [solver.identity_key]
+    by_key = {keys[0]: [0]}
 
-    def find(word: tuple) -> Optional[int]:
-        for vi in by_key.get(solver.key(word), ()):
-            if solver.kind != "dehn" or solver.is_trivial(
-                    free_reduce(word + invert_word(words[vi]))):
+    def find(word: tuple, key) -> Optional[int]:
+        for vi in by_key.get(key, ()):
+            if solver.same(word, words[vi]):
                 return vi
         return None
 
-    alphabet = ([(g, 1) for g in pres.generators]
-                + [(g, -1) for g in pres.generators])
+    forward = [(g, 1) for g in pres.generators]
+    alphabet = forward + [(g, -1) for g in pres.generators]
     start = 0
     for _ in range(radius):
-        layer, start = words[start:], len(words)
-        for base in layer:
+        stop = len(words)
+        for base, base_key in zip(words[start:stop], keys[start:stop]):
             for letter in alphabet:
-                cand = free_reduce(base + (letter,))
-                if find(cand) is None:
-                    by_key.setdefault(solver.key(cand), []).append(len(words))
-                    words.append(cand)
+                word, key = solver.step(base, base_key, letter)
+                if find(word, key) is None:
+                    by_key.setdefault(key, []).append(len(words))
+                    words.append(word)
+                    keys.append(key)
+        start = stop
 
     edges = []
-    for ui, base in enumerate(words):
-        for gen in pres.generators:
-            target = find(free_reduce(base + ((gen, 1),)))
+    for ui, (base, base_key) in enumerate(zip(words, keys)):
+        for letter in forward:
+            target = find(*solver.step(base, base_key, letter))
             if target is not None:
-                edges.append((ui, gen, target))
+                edges.append((ui, letter[0], target))
 
     cells = []
-    for base_index, base in enumerate(words):
+    for base_index, (base, base_key) in enumerate(zip(words, keys)):
         for rj, relator in enumerate(pres.relators):
-            cycle, word = [base_index], base
+            cycle, word, key = [base_index], base, base_key
             for letter in relator[:-1]:
-                word = free_reduce(word + (letter,))
-                cycle.append(find(word))
+                word, key = solver.step(word, key, letter)
+                cycle.append(find(word, key))
                 if cycle[-1] is None:
                     break
             else:
-                if find(free_reduce(word + relator[-1:])) != base_index:
+                if find(*solver.step(word, key, relator[-1])) != base_index:
                     raise InternalInvariantViolation(  # pragma: no cover
                         "relator loop did not close")
                 cells.append((base_index, rj, tuple(cycle)))

@@ -54,7 +54,7 @@ from .surfaces import petal, surface_report
 # Largest requests served; larger ones exit 1 before any work.
 _MAX_RANDOM_MOVES = 100_000
 _MAX_GENUS = 10_000
-_MAX_SPEC = 100  # the surface word-problem solver keeps O(g^2) pieces
+_MAX_SPEC = 100  # rank or genus of a group spec
 _MAX_WORD_CHARS = 100_000
 _MAX_BALL = 2_000
 

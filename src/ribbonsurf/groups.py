@@ -9,8 +9,9 @@ this is literally the genus-g surface presentation
 The word problem is decided by presentation shape, chosen once per
 presentation by a Solver: free presentations by free reduction, genus 1
 (the abelian a b a' b' relator) by exponent sums, genus >= 2 by Dehn's
-algorithm in one pass over a stack: O(n*R) table lookups for n letters and
-a relator of length R.  It is complete by Greendlinger's lemma: the surface
+algorithm in one pass over a stack: at most (1 + R/4) * n lookups for n
+letters and a relator of length R, in a table of 2R shifts keyed by two
+letters, O(R) in memory.  It is complete by Greendlinger's lemma: the surface
 relator's pieces have one letter, so it satisfies C'(1/7), and a nonempty
 freely reduced trivial word contains more than half of a relator shift.
 """
@@ -23,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import (
     EndpointMismatchError,
+    InternalInvariantViolation,
     PreconditionError,
     UnknownLabelError,
     UnsupportedPresentationError,
@@ -167,15 +169,18 @@ def solver_kind(pres: Presentation) -> str:
 
 
 def _dehn_trivial(word: Sequence[Letter], pieces: dict, need: int) -> bool:
-    """Dehn's algorithm in one pass over a stack.  ``pieces`` maps the first
-    ``need`` letters of each relator shift (more than half of it) to the
-    inverse of the rest (see Solver).  Pushes cancel free pairs.  The stack
-    never holds a key, and every longer relator subword ends in one, so one
-    lookup of the top ``need`` letters per push finds every rewrite; a hit
-    is popped and its replacement pushed back.  A rewrite shortens stack
-    plus pending letters by 2 * need - R >= 1, so n letters take at most
-    (1 + R/4) * n lookups.  By Greendlinger's lemma the word is trivial iff
-    the stack ends empty: no cyclic pass is needed."""
+    """Dehn's algorithm in one pass over a stack.  ``pieces`` maps the two
+    letters that end the first ``need`` letters of a relator shift (more
+    than half of it) to that shift (see Solver).  Pushes cancel free pairs.
+    The stack never holds a shift's first ``need`` letters, and every longer
+    relator subword ends in them, so one lookup per push finds every
+    rewrite: the top two letters name the one shift that can match, and the
+    top ``need`` letters are compared with it (its first letter alone
+    first, since most pairs that hit start no match).  A hit is popped and
+    the inverse of the shift's rest is pushed back.  A rewrite shortens
+    stack plus pending letters by 2 * need - R >= 1, so n letters take at
+    most (1 + R/4) * n lookups.  By Greendlinger's lemma the word is trivial
+    iff the stack ends empty: no cyclic pass is needed."""
     stack = []
     pending = list(reversed(word))
     while pending:
@@ -185,10 +190,12 @@ def _dehn_trivial(word: Sequence[Letter], pieces: dict, need: int) -> bool:
             continue
         stack.append(letter)
         if len(stack) >= need:
-            rest = pieces.get(tuple(stack[-need:]))
-            if rest is not None:
-                del stack[-need:]
-                pending.extend(reversed(rest))
+            shift = pieces.get((stack[-2], letter))
+            if shift is not None:
+                cycle, flipped, start, cut, stop = shift
+                if stack[-need] == cycle[start] and stack[-need:] == cycle[start:cut]:
+                    del stack[-need:]
+                    pending.extend(flipped[cut:stop])
     return not stack
 
 
@@ -200,14 +207,26 @@ class Solver:
     def __init__(self, pres: Presentation):
         self.kind = solver_kind(pres)
         self.generators = pres.generators
+        self._index = {g: i for i, g in enumerate(pres.generators)}
+        self.identity_key = () if self.kind == "free" else (0,) * len(pres.generators)
         if self.kind == "dehn":
             relator = pres.relators[0]
-            self._need = need = len(relator) // 2 + 1
+            size = len(relator)
+            self._need = need = size // 2 + 1
+            # Shift s of a base word is cycle[s:s + size]; a hit pushes the
+            # letters of flipped[s + need:s + size], which popped in turn
+            # spell the inverse of the shift's rest.  Every entry shares its
+            # base's two lists, so the table holds O(size) letters.
             self._pieces = {}
             for base in (relator, invert_word(relator)):
-                for s in range(len(base)):
-                    rot = base[s:] + base[:s]
-                    self._pieces[rot[:need]] = invert_word(rot[need:])
+                cycle = list(base + base)
+                flipped = [(lab, -sign) for lab, sign in cycle]
+                for s in range(size):
+                    ends = (cycle[s + need - 2], cycle[s + need - 1])
+                    if ends in self._pieces:
+                        raise InternalInvariantViolation(
+                            f"relator has a piece of two letters {ends!r}")
+                    self._pieces[ends] = (cycle, flipped, s, s + need, s + size)
 
     def key(self, word: tuple):
         """Words with different keys are different elements.  The word itself
@@ -216,6 +235,25 @@ class Solver:
         if self.kind == "free":
             return word
         return exponent_sums(word, self.generators)
+
+    def step(self, word: tuple, key, letter: Letter) -> tuple:
+        """(word * letter freely reduced, its key), given the key of the
+        freely reduced ``word``: O(1) beyond copying the word, and O(rank)
+        for the key."""
+        lab, sign = letter
+        if word and word[-1] == (lab, -sign):
+            word = word[:-1]
+        else:
+            word = word + (letter,)
+        if self.kind == "free":
+            return word, word
+        i = self._index[lab]
+        return word, key[:i] + (key[i] + sign,) + key[i + 1:]
+
+    def same(self, u: tuple, v: tuple) -> bool:
+        """Do two words with the same key name the same element?  Always
+        when the key is exact, else by Dehn's algorithm on u v'."""
+        return self.kind != "dehn" or self.is_trivial(free_reduce(u + invert_word(v)))
 
     def is_trivial(self, word: tuple) -> bool:
         if self.kind == "free":

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from ribbonsurf import (
+    InternalInvariantViolation,
     Presentation,
     PreconditionError,
     UnsupportedPresentationError,
@@ -15,7 +16,57 @@ from ribbonsurf import (
     surface_group,
     zxz_presentation,
 )
+from ribbonsurf import cayley, groups
+from ribbonsurf.groups import Solver
 from ribbonsurf.io import cayley_ball_to_json
+
+
+def reference_cayley_ball(pres, radius):
+    """(vertices, edges, cells) as the ball was grown before one-letter
+    steps: every candidate freely reduced and keyed from its start."""
+    solver = Solver(pres)
+    words = [()]
+    by_key = {solver.key(()): [0]}
+
+    def find(word):
+        for vi in by_key.get(solver.key(word), ()):
+            if solver.kind != "dehn" or solver.is_trivial(
+                    free_reduce(word + invert_word(words[vi]))):
+                return vi
+        return None
+
+    alphabet = ([(g, 1) for g in pres.generators]
+                + [(g, -1) for g in pres.generators])
+    start = 0
+    for _ in range(radius):
+        layer, start = words[start:], len(words)
+        for base in layer:
+            for letter in alphabet:
+                cand = free_reduce(base + (letter,))
+                if find(cand) is None:
+                    by_key.setdefault(solver.key(cand), []).append(len(words))
+                    words.append(cand)
+
+    edges = []
+    for ui, base in enumerate(words):
+        for gen in pres.generators:
+            target = find(free_reduce(base + ((gen, 1),)))
+            if target is not None:
+                edges.append((ui, gen, target))
+
+    cells = []
+    for base_index, base in enumerate(words):
+        for rj, relator in enumerate(pres.relators):
+            cycle, word = [base_index], base
+            for letter in relator[:-1]:
+                word = free_reduce(word + (letter,))
+                cycle.append(find(word))
+                if cycle[-1] is None:
+                    break
+            else:
+                assert find(free_reduce(word + relator[-1:])) == base_index
+                cells.append((base_index, rj, tuple(cycle)))
+    return tuple(words), tuple(edges), tuple(cells)
 
 
 def pairwise_ball(pres, radius):
@@ -75,6 +126,55 @@ def test_matches_pairwise_reference(pres, radii):
     for r in radii:
         ball = cayley_ball(pres, r)
         assert (ball.vertices, ball.edges, ball.cells) == pairwise_ball(pres, r)
+
+
+@pytest.mark.parametrize("pres, radii", [
+    (free_presentation(1), range(12)),
+    (free_presentation(2), range(6)),
+    (free_presentation(3), range(4)),
+    (zxz_presentation(), range(12)),
+    (surface_group(2), range(3)),
+    (surface_group(3), range(3)),
+], ids=["free1", "free2", "free3", "zxz", "surface2", "surface3"])
+def test_matches_reference_ball(pres, radii):
+    for r in radii:
+        ball = cayley_ball(pres, r)
+        assert (ball.vertices, ball.edges, ball.cells) == reference_cayley_ball(pres, r)
+
+
+# Acceptance criterion 8 (free:2 r <= 5, zxz r <= 10, surface:2 r = 1) plus
+# surface:2 r = 2 and surface:3 r = 1: the balls the groups benchmark grows.
+BENCHMARK_BALLS = ([(free_presentation(2), r) for r in range(6)]
+                   + [(zxz_presentation(), r) for r in range(11)]
+                   + [(surface_group(2), 1), (surface_group(2), 2),
+                      (surface_group(3), 1)])
+
+
+def test_pinned_benchmark_balls():
+    digest = hashlib.sha256()
+    for pres, r in BENCHMARK_BALLS:
+        ball = cayley_ball(pres, r)
+        digest.update(repr((ball.vertices, ball.edges, ball.cells)).encode())
+    assert digest.hexdigest() == (
+        "cfc4e0fe6767ee9db9d6b88b9775307175d442afd0c344c963cdef8336ec7264")
+
+
+@pytest.mark.parametrize("pres, radius, size", [(free_presentation(2), 5, 485),
+                                                (zxz_presentation(), 10, 221)],
+                         ids=["free2", "zxz"])
+def test_balls_never_reduce_or_sum_whole_words(monkeypatch, pres, radius, size):
+    # Each word is one letter from a word whose key is known, so growing a
+    # ball of a free group or of Z x Z reduces and sums no word from its start.
+    calls = []
+    for module in (cayley, groups):
+        for name in ("free_reduce", "exponent_sums"):
+            original = getattr(groups, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args),
+                raising=False)
+    assert cayley_ball(pres, radius).num_vertices == size
+    assert calls == []
 
 
 @pytest.mark.parametrize("pres, radius, digest", [

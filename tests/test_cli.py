@@ -214,6 +214,15 @@ def test_unbounded_requests_are_refused(monkeypatch):
                      + [("ball", r) for r in largest.values()])
 
 
+def test_largest_balls_are_served():
+    # The costliest requests under the ball cap, built for real: 2r + 1,
+    # 2r^2 + 2r + 1 and 1 + 4(3^r - 1)/2 elements.
+    for group, r, size in [("free:1", 999, 1999), ("zxz", 31, 1985),
+                           ("free:2", 6, 1457)]:
+        assert run("cayley", "--group", group, "--radius", str(r)).startswith(
+            f"vertices: {size}\n")
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io as stdio
     text = (DATA / "petal_1.json").read_text()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ribbonsurf import (
     DiscretePath,
     EndpointMismatchError,
+    InternalInvariantViolation,
     Presentation,
     PreconditionError,
     UnknownLabelError,
@@ -248,6 +250,43 @@ def test_dehn_work_is_linear(g, trivial):
     solver._pieces = CountingDict(solver._pieces)
     assert solver.is_trivial(word) == trivial
     assert solver._pieces.gets <= (1 + len(pres.relators[0]) / 4) * len(word)
+
+
+def test_dehn_table_is_linear_in_the_relator():
+    # 2R shifts of R = 400 letters: one copy of each base word, not 2R
+    # prefixes of R/2 letters (which took about 11 MiB).
+    pres = surface_group(100)
+    tracemalloc.start()
+    try:
+        solver = groups.Solver(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(solver._pieces) == 800
+    assert peak < 2 ** 20
+
+
+def test_dehn_table_refuses_two_letter_pieces(monkeypatch):
+    # The two letters ending a shift's first R/2 + 1 name it only when no
+    # two-letter subword repeats; "ab" appears twice in this relator.
+    monkeypatch.setattr(groups, "solver_kind", lambda pres: "dehn")
+    pres = Presentation(tuple("abcd"), (parse_word("abcdabCD"),))
+    with pytest.raises(InternalInvariantViolation):
+        groups.Solver(pres)
+
+
+@pytest.mark.parametrize("pres", [free_presentation(2), zxz_presentation(),
+                                  surface_group(2)], ids=["free2", "zxz", "surface2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solver_step_matches_key(pres, data):
+    solver = groups.Solver(pres)
+    letter = st.tuples(st.sampled_from(pres.generators), st.sampled_from([1, -1]))
+    word = free_reduce(data.draw(st.lists(letter, max_size=12).map(tuple)))
+    step = data.draw(letter)
+    assert solver.key(()) == solver.identity_key
+    expected = free_reduce(word + (step,))
+    assert solver.step(word, solver.key(word), step) == (expected, solver.key(expected))
 
 
 @settings(max_examples=200, deadline=None)
