@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from ribbonsurf import (
-    InternalInvariantViolation,
     Presentation,
     PreconditionError,
     UnsupportedPresentationError,
