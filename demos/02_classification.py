@@ -40,6 +40,8 @@ for move in result.trace:
     print("  ", move)
 
 # The trace is a certificate: replaying it against the original map must
-# land on the same canonical word.
+# land on the same canonical word, or the demo exits non-zero.
 again = replay(m, result.trace)
 print("replay matches:", again == result.canonical_word)
+if again != result.canonical_word:
+    raise SystemExit("replay did not land on the canonical word")

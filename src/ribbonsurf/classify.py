@@ -14,6 +14,8 @@ names the genus directly.  Every step is recorded in a replayable
 MoveTrace, and the word after every move must keep the genus: a chi oracle
 counts the corner classes of the glued polygon in one pass.  word_to_map,
 which builds the glued map, is the reference the oracle is tested against.
+replay re-runs a trace through the same code: its map moves on one working
+form, frozen once, and its word moves through normalize's checked step.
 """
 
 from __future__ import annotations
@@ -198,9 +200,10 @@ class _Form:
         raise InternalInvariantViolation(f"walk from dart {d} does not close")
 
     def edge(self, label: str) -> int:
-        if label not in self.labels:
+        k = self.labels.index(label) if label in self.labels else -1
+        if k < 0 or self.dead[2 * k]:
             raise UnknownLabelError(f"unknown edge label {label!r}")
-        return self.labels.index(label)
+        return k
 
     def first_edge(self, part: list) -> Optional[int]:
         """The first edge with its darts on two faces (where) or stars (vert)."""
@@ -370,12 +373,20 @@ class _Form:
         return _from_dart_rows([self.labels[e] for e in self.order], rows or [[]])
 
 
+def _map_moves(ribbon_map: RibbonMap, moves) -> RibbonMap:
+    """Make recorded DeleteEdge and ContractEdge moves on one working form,
+    frozen once at the end."""
+    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    for move in moves:
+        k = form.edge(move.label)
+        form.delete(k) if isinstance(move, DeleteEdge) else form.contract(k)
+    return form.freeze()
+
+
 def delete_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     """Remove one edge whose sides lie on distinct faces, merging them; chi
     and connectedness are kept."""
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
-    form.delete(form.edge(label))
-    return form.freeze()
+    return _map_moves(ribbon_map, [DeleteEdge(label)])
 
 
 def delete_face_merging_edge(ribbon_map: RibbonMap):
@@ -398,9 +409,7 @@ def contract_edge(ribbon_map: RibbonMap, label: str) -> RibbonMap:
     the head read cyclically from just after the opposite dart; V drops by
     one and F is untouched.
     """
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
-    form.contract(form.edge(label))
-    return form.freeze()
+    return _map_moves(ribbon_map, [ContractEdge(label)])
 
 
 def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
@@ -609,6 +618,14 @@ def _oracle_genus(letters: list) -> int:
     return twice // 2
 
 
+def _word_step(letters: list, move, genus: int) -> list:
+    """Apply one word move; the glued surface must keep its genus."""
+    letters = apply_word_move(letters, move)
+    if _oracle_genus(letters) != genus:
+        raise InternalInvariantViolation(f"move {move!r} changed the surface")
+    return letters
+
+
 def _fresh_label(used: set, counter: list) -> str:
     while True:
         name = f"z{counter[0]}"
@@ -666,18 +683,11 @@ def normalize(word):
     used = {ref.label for ref in letters}
     counter = [1]
     moves = []
-
-    def apply(move):
-        nonlocal letters
-        letters = apply_word_move(letters, move)
-        if _oracle_genus(letters) != target:
-            raise InternalInvariantViolation(f"move {move!r} changed the surface")
-        moves.append(move)
-
     while True:
         lab = _find_adjacent_inverse(letters)
         if lab is not None:
-            apply(Cancel(lab))
+            moves.append(Cancel(lab))
+            letters = _word_step(letters, moves[-1], target)
             continue
         if not letters:
             break
@@ -693,21 +703,11 @@ def normalize(word):
                 "come from a one-vertex map") from None
         # Two cuts fuse the linked pair into a fresh gathered block, leaving
         # every other arc of the word intact.
-        apply(_cut_around(letters, a, b, -1, used, counter))
-        apply(_cut_around(letters, moves[-1].new_label, a, 1, used, counter))
-    if letters:
-        letters = canonical_rotation(letters)
-    return PolygonWord(letters), MoveTrace(tuple(moves))
-
-
-def replay_word_moves(word, moves) -> PolygonWord:
-    """Apply recorded word moves and the final canonical rotation."""
-    letters = list(PolygonWord(word).letters)
-    for move in moves:
-        letters = apply_word_move(letters, move)
-    if letters:
-        letters = canonical_rotation(letters)
-    return PolygonWord(letters)
+        moves.append(_cut_around(letters, a, b, -1, used, counter))
+        letters = _word_step(letters, moves[-1], target)
+        moves.append(_cut_around(letters, moves[-1].new_label, a, 1, used, counter))
+        letters = _word_step(letters, moves[-1], target)
+    return PolygonWord(canonical_rotation(letters)), MoveTrace(tuple(moves))
 
 
 # -- full pipeline ---------------------------------------------------------
@@ -715,16 +715,12 @@ def replay_word_moves(word, moves) -> PolygonWord:
 
 def classify(ribbon_map: RibbonMap) -> ClassificationResult:
     """Genus, canonical polygon word (None for the sphere) and move trace."""
-    if ribbon_map.num_edges == 0:
-        return ClassificationResult(0, None, MoveTrace())
     reduced, map_trace = reduce_to_one_vertex_one_face(ribbon_map)
     if reduced.num_edges == 0:
         return ClassificationResult(0, None, map_trace)
     word = polygon_word(reduced)
     canonical, word_trace = normalize(word)
     trace = map_trace.extend(word_trace.moves)
-    if len(canonical) == 0:
-        return ClassificationResult(0, None, trace)
     g = len(canonical) // 4
     if g != genus(ribbon_map):
         raise InternalInvariantViolation(
@@ -733,24 +729,21 @@ def classify(ribbon_map: RibbonMap) -> ClassificationResult:
 
 
 def replay(ribbon_map: RibbonMap, trace: MoveTrace) -> Optional[PolygonWord]:
-    """Re-run a recorded trace from scratch; None means the sphere."""
-    current = ribbon_map
+    """Re-run a recorded trace from scratch; None means the sphere.  The map
+    moves run as in the reduction and the word moves as in normalize."""
     moves = list(trace)
-    at = 0
-    while at < len(moves) and isinstance(moves[at], (DeleteEdge, ContractEdge)):
-        move = moves[at]
-        if isinstance(move, DeleteEdge):
-            current = delete_edge(current, move.label)
-        else:
-            current = contract_edge(current, move.label)
-        at += 1
-    if current.num_edges == 0:
+    at = next((i for i, move in enumerate(moves)
+               if not isinstance(move, (DeleteEdge, ContractEdge))), len(moves))
+    reduced = _map_moves(ribbon_map, moves[:at])
+    if reduced.num_edges == 0:
         if at != len(moves):
             raise PreconditionError("word moves recorded for an edgeless map")
         return None
-    word = polygon_word(current)
-    final = replay_word_moves(word, moves[at:])
-    return final if len(final) else None
+    letters = list(polygon_word(reduced).letters)
+    target = _oracle_genus(letters)
+    for move in moves[at:]:
+        letters = _word_step(letters, move, target)
+    return PolygonWord(canonical_rotation(letters)) if letters else None
 
 
 # -- randomized instance generator ------------------------------------------

@@ -14,7 +14,8 @@ at most 100,000 characters.  `cayley` refuses a radius above 2,000, or
 one whose ball may hold more than 2,000 elements.  That size is exact for
 free groups (2r + 1 at rank 1, 1 + 2k((2k-1)^r - 1)/(2k-2) at rank k >= 2)
 and for zxz (2r^2 + 2r + 1); for surface:g it is the bound of the free
-group of rank 2g.
+group of rank 2g.  `classify` refuses a map of more than 2,000 edges, once
+it is read.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ _MAX_GENUS = 10_000
 _MAX_SPEC = 100  # rank or genus of a group spec
 _MAX_WORD_CHARS = 100_000
 _MAX_BALL = 2_000
+_MAX_CLASSIFY_EDGES = 2_000
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,10 @@ def _run_refine(args) -> CommandResult:
 
 
 def _run_classify(args) -> CommandResult:
-    result = classify(_load_map(args.file))
+    ribbon_map = _load_map(args.file)
+    if ribbon_map.num_edges > _MAX_CLASSIFY_EDGES:
+        raise PreconditionError(f"classify takes at most {_MAX_CLASSIFY_EDGES} edges")
+    result = classify(ribbon_map)
     word = (graph_io.format_word([(r.label, r.sign) for r in result.canonical_word])
             if result.canonical_word else "S0")
     if args.as_json:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptyMapError
+from .errors import EmptyMapError, InternalInvariantViolation
 from .maps import RibbonMap
 from .surfaces import trace_faces
 
@@ -119,7 +119,7 @@ def are_isomorphic(a: RibbonMap, b: RibbonMap) -> Optional[DartBijection]:
         fwd = _match_from(a, b, root)
         if fwd is not None:
             bijection = DartBijection(tuple(fwd))
-            if not bijection.commutes(a, b):  # pragma: no cover - safety net
-                continue
+            if not bijection.commutes(a, b):
+                raise InternalInvariantViolation(f"match to root {root} does not commute")
             return bijection
     return None

@@ -19,6 +19,7 @@ from ribbonsurf import (
     MoveTrace,
     PolygonWord,
     PreconditionError,
+    UnknownLabelError,
     classify,
     contract_edge,
     delete_edge,
@@ -525,6 +526,116 @@ def test_classify_round_trip_with_replay():
         assert replay(m, result.trace) == result.canonical_word
 
 
+def reference_replay(ribbon_map, trace):
+    """replay as it was: every map move rebuilt, traced and checked a whole
+    map, and the word moves ran unchecked."""
+    current, moves, at = ribbon_map, list(trace), 0
+    while at < len(moves) and isinstance(moves[at], (DeleteEdge, ContractEdge)):
+        move = moves[at]
+        if isinstance(move, DeleteEdge):
+            current = delete_edge(current, move.label)
+        else:
+            current = contract_edge(current, move.label)
+        at += 1
+    if current.num_edges == 0:
+        if at != len(moves):
+            raise PreconditionError("word moves recorded for an edgeless map")
+        return None
+    letters = list(polygon_word(current).letters)
+    for move in moves[at:]:
+        letters = classify_module.apply_word_move(letters, move)
+    if letters:
+        letters = canonical_rotation(letters)
+    return PolygonWord(letters) if letters else None
+
+
+def outcome(run, *args):
+    """The result of ``run``, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def hand_built_trace(m, rng):
+    """Random face-merging deletes, then random non-loop contractions, then
+    the word moves of the reduced word's normalize; not classify's choices."""
+    moves = []
+    while True:
+        where = face_of_dart(m)
+        merging = [k for k in range(m.num_edges) if where[2 * k] != where[2 * k + 1]]
+        if not merging:
+            break
+        moves.append(DeleteEdge(m.edge_labels[rng.choice(merging)]))
+        m = delete_edge(m, moves[-1].label)
+    while m.num_vertices > 1:
+        links = [k for k in range(m.num_edges)
+                 if m.vertex_of(2 * k) != m.vertex_of(2 * k + 1)]
+        moves.append(ContractEdge(m.edge_labels[rng.choice(links)]))
+        m = contract_edge(m, moves[-1].label)
+    if m.num_edges:
+        moves += normalize(polygon_word(m))[1].moves
+    return MoveTrace(tuple(moves))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 60), st.integers(0, 10 ** 6))
+def test_replay_matches_reference(g, k, seed):
+    rng = random.Random(seed)
+    m = random_filling_map(g, k, seed)
+    result = classify(m)
+    assert replay(m, result.trace) == result.canonical_word
+    for trace in (result.trace, hand_built_trace(m, rng), hand_built_trace(m, rng)):
+        word = replay(m, trace)
+        assert word == reference_replay(m, trace)
+        assert (len(word) if word else 0) == 4 * g
+
+
+def test_tampered_traces_fail_as_in_reference():
+    theta = from_rotation_lists(
+        ["e1", "e2", "e3"],
+        [["e1+", "e2+", "e3+"], ["e1-", "e3-", "e2-"]])
+    m = random_filling_map(2, 7, 11)
+    moves = classify(m).trace.moves
+    first, words = moves[0], [move for move in moves if isinstance(move, CutGlue)]
+    bad_cut = CutGlue(words[0].new_label, words[0].old_label, (0, 1), 1)
+    cases = [
+        (m, [first, first], UnknownLabelError, "unknown edge label 'b'"),
+        (m, [DeleteEdge("nope")], UnknownLabelError, "unknown edge label 'nope'"),
+        (petal(1), [ContractEdge("a")], LoopNotContractibleError, "edge 'a' is a loop"),
+        (petal(1), [DeleteEdge("a")], PreconditionError,
+         "edge 'a' has both sides on one face; deleting it would not merge faces"),
+        (theta, classify(theta).trace.moves + (Cancel("e1"),),
+         PreconditionError, "word moves recorded for an edgeless map"),
+        (m, moves[:-1 - len(words)], PreconditionError,
+         "map has 2 vertices; reduce it first"),
+        (m, [move for move in moves if move not in words] + [bad_cut],
+         PreconditionError, "cut must separate the two occurrences of 'd'"),
+        (m, [move for move in moves if move not in words]
+         + [CutGlue("z1", "d", (2, 2), -1)],
+         InternalInvariantViolation, "empty or full cut arc"),
+        (m, moves + (first,), PreconditionError, f"not a word move: {first!r}"),
+    ]
+    for ribbon_map, trace, error, message in cases:
+        trace = MoveTrace(tuple(trace))
+        expected = outcome(reference_replay, ribbon_map, trace)
+        assert expected == (error, message)
+        assert outcome(replay, ribbon_map, trace) == expected
+
+
+def test_replay_builds_one_map(monkeypatch):
+    # The map moves run on one working form: the input and the reduced map
+    # are traced, and only the reduced map is built.
+    m = random_filling_map(3, 60, 1)
+    result = classify(m)
+    assert sum(isinstance(move, (DeleteEdge, ContractEdge))
+               for move in result.trace) == 60
+    traced = count_calls(monkeypatch, "trace_faces")
+    built = count_calls(monkeypatch, "_from_dart_rows")
+    assert replay(m, result.trace) == result.canonical_word
+    assert len(built) == 1 and len(traced) <= 2
+
+
 def test_insert_edge_splits_face():
     m = petal(1)
     bigger = insert_edge(m, "x", 0, 0, 2)
@@ -636,13 +747,16 @@ def test_oracle_checks_each_label_once_per_sign():
 
 def test_word_moves_are_checked(monkeypatch):
     # A move that returns a valid word of another genus is reported as a bug:
-    # one that adds a handle, and one that returns the sphere's word.
+    # one that adds a handle, and one that returns the sphere's word.  Made
+    # by normalize or replayed, the move goes through the same check.
     inner = classify_module.apply_word_move
     handle = [DartRef("q1", 1), DartRef("q2", 1), DartRef("q1", -1), DartRef("q2", -1)]
     sphere = [DartRef("q1", 1), DartRef("q1", -1)]
     mutants = [(lambda letters, move: inner(letters, move) + handle,
                 ("aA", "abcABC", "abcdABCD")),
                (lambda letters, move: sphere, ("abcABC", "abcdABCD"))]
+    m = random_filling_map(2, 7, 11)
+    trace = classify(m).trace
     for mutant, texts in mutants:
         monkeypatch.setattr(classify_module, "apply_word_move", mutant)
         for text in texts:
@@ -650,6 +764,9 @@ def test_word_moves_are_checked(monkeypatch):
             with pytest.raises(InternalInvariantViolation,
                                match=r"^move .* changed the surface$"):
                 normalize(PolygonWord(letters))
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^move CutGlue.* changed the surface$"):
+            replay(m, trace)
 
 
 def test_polygon_word_validates_letters():

@@ -9,9 +9,12 @@ from ribbonsurf import (
     InternalInvariantViolation,
     PreconditionError,
     free_presentation,
+    from_rotation_lists,
+    serialize_graph,
     surface_group,
 )
 from ribbonsurf.cayley import cayley_ball as real_ball
+from ribbonsurf.classify import classify as real_classify
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -157,11 +160,14 @@ def test_bad_base_vertex_is_a_domain_error():
         assert run(*argv, expect=1) == f"error: vertex {n} out of range"
 
 
-def test_unbounded_requests_are_refused(monkeypatch):
-    # The bounds are checked before any work: the map and ball builders and
-    # the word parser are replaced by stubs, so no request here is large.
+def test_unbounded_requests_are_refused(monkeypatch, tmp_path):
+    # The bounds are checked before any work: the map and ball builders, the
+    # word parser and classify are replaced by stubs, so no request here is
+    # large.  A classify request is refused once its map is read.
     built = []
     small = cli.petal(0)
+    monkeypatch.setattr(cli, "classify", lambda m: built.append(("classify", m.num_edges))
+                        or real_classify(small))
     monkeypatch.setattr(cli, "random_filling_map",
                         lambda g, moves, seed: built.append((g, moves)) or small)
     monkeypatch.setattr(cli, "petal", lambda g: built.append((g,)) or small)
@@ -171,6 +177,13 @@ def test_unbounded_requests_are_refused(monkeypatch):
                         lambda text, generators: built.append(("word", len(text))) or ())
     moves, genus = cli._MAX_RANDOM_MOVES, cli._MAX_GENUS
     spec, chars, ball = cli._MAX_SPEC, cli._MAX_WORD_CHARS, cli._MAX_BALL
+    edges = cli._MAX_CLASSIFY_EDGES
+    documents = {}
+    for m in (edges, edges + 1):  # planar: m loops, each closing its own face
+        star = [f"e{i}{sign}" for i in range(m) for sign in "+-"]
+        documents[m] = tmp_path / f"loops_{m}.json"
+        documents[m].write_text(serialize_graph(
+            from_rotation_lists([f"e{i}" for i in range(m)], [star])))
 
     def too_big(group, radius):
         return (f"error: radius {radius} is too large for {group}: "
@@ -198,6 +211,10 @@ def test_unbounded_requests_are_refused(monkeypatch):
          f"error: radius must be <= {ball}"),
         (("cayley", "--group", "free:3", "--radius", str(10 ** 30)),
          f"error: radius must be <= {ball}"),
+        (("classify", str(documents[edges + 1])),
+         f"error: classify takes at most {edges} edges"),
+        (("classify", str(documents[edges + 1]), "--json"),
+         f"error: classify takes at most {edges} edges"),
     ]
     refused += [(("cayley", "--group", group, "--radius", str(r + 1)),
                  too_big(group, r + 1))
@@ -210,8 +227,10 @@ def test_unbounded_requests_are_refused(monkeypatch):
     run("trivial", "--group", f"surface:{spec}", "a" * chars)
     for group, r in largest.items():
         run("cayley", "--group", group, "--radius", str(r))
+    run("classify", str(documents[edges]))
     assert built == ([(genus, moves), (genus,), ("word", chars)]
-                     + [("ball", r) for r in largest.values()])
+                     + [("ball", r) for r in largest.values()]
+                     + [("classify", edges)])
 
 
 def test_largest_balls_are_served():
@@ -221,6 +240,17 @@ def test_largest_balls_are_served():
                            ("free:2", 6, 1457)]:
         assert run("cayley", "--group", group, "--radius", str(r)).startswith(
             f"vertices: {size}\n")
+
+
+def test_largest_classify_is_served(tmp_path):
+    # A served random document at the edge cap, classified for real; genus
+    # m/4 was among the slowest when the cap was chosen.
+    edges = cli._MAX_CLASSIFY_EDGES
+    path = tmp_path / "cap.json"
+    path.write_text(run("random", "--genus", str(edges // 4),
+                        "--moves", str(edges // 2), "--seed", "1"))
+    assert f"\nedges: {edges}\n" in run("report", str(path))
+    assert run("classify", str(path)).startswith(f"genus: {edges // 4}\n")
 
 
 def test_stdin_input(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ribbonsurf import (
     EmptyMapError,
+    InternalInvariantViolation,
     are_isomorphic,
     canonical_encoding,
     from_rotation_lists,
@@ -13,7 +15,11 @@ from ribbonsurf import (
     refine,
     relabeled,
 )
+from ribbonsurf import iso
+from ribbonsurf.cli import CommandResult, dispatch
 from util import corpus, scramble
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def all_roots_encoding(m):
@@ -94,6 +100,23 @@ def test_bijection_maps_darts_consistently():
     seen = sorted(bijection(d) for d in range(m.num_darts))
     assert seen == list(range(m.num_darts))
     assert bijection.commutes(m, copy)
+
+
+def test_a_match_that_does_not_commute_is_a_bug(monkeypatch):
+    # A permutation that swaps darts 0 and 2 breaks the edge involution; the
+    # search must report it rather than try the next root.
+    def swapped(a, b, root):
+        fwd = list(range(a.num_darts))
+        fwd[0], fwd[2] = 2, 0
+        return fwd
+
+    monkeypatch.setattr(iso, "_match_from", swapped)
+    message = "match to root 0 does not commute"
+    with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
+        are_isomorphic(petal(2), petal(2))
+    path = str(DATA / "petal_2.json")
+    assert dispatch(["iso", path, path]) == CommandResult(
+        3, f"internal error: {message}")
 
 
 def test_encoding_matches_all_roots_reference():
