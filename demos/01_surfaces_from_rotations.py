@@ -29,6 +29,8 @@ print("  chi:     ", report.euler_characteristic)
 print("  genus:   ", report.genus)
 for word in report.face_words:
     print("  face:", format_word(word))
+if (report.num_faces, report.genus) != (3, 0):
+    raise SystemExit("the theta graph should fill the sphere with 3 faces")
 
 # Reversing one star changes the embedding, not the graph.  With the
 # rotation at the second vertex flipped, two faces merge and the same
@@ -41,11 +43,17 @@ theta_twisted = from_rotation_lists(
 twisted = surface_report(theta_twisted)
 print("\nsame graph, one star reversed")
 print("  faces:", twisted.num_faces, " genus:", twisted.genus)
+if twisted.genus != 1:
+    raise SystemExit("the twisted theta graph should fill the torus")
 
 # The same phenomenon on a wedge of two loops: interleaving the loops
 # around the single vertex fills a torus, nesting them fills a sphere.
-for rotation in (["a+", "b+", "a-", "b-"], ["a+", "a-", "b+", "b-"]):
+# The demo exits non-zero if any genus here comes out wrong.
+for rotation, expected in ((["a+", "b+", "a-", "b-"], 1),
+                           (["a+", "a-", "b+", "b-"], 0)):
     wedge = from_rotation_lists(["a", "b"], [rotation])
     r = surface_report(wedge)
     print(f"\nwedge rotation {rotation}")
     print("  faces:", r.num_faces, " genus:", r.genus)
+    if r.genus != expected:
+        raise SystemExit(f"wedge {rotation} should have genus {expected}")

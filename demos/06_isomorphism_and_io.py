@@ -33,6 +33,8 @@ p2 = petal(2)
 copy = relabeled(p2, {"a": "x", "b": "y", "c": "z", "d": "w"})
 bijection = are_isomorphic(p2, copy)
 print("petal(2) ~ relabeled copy:", bijection is not None)
+if bijection is None:
+    raise SystemExit("a relabeled copy should be isomorphic")
 print("bijection commutes:", bijection.commutes(p2, copy))
 print("encodings equal:", canonical_encoding(p2) == canonical_encoding(copy))
 
@@ -40,5 +42,7 @@ print("encodings equal:", canonical_encoding(p2) == canonical_encoding(copy))
 # rotations, hence different face structure: not isomorphic as maps.
 torus_wedge = parse_graph((data / "wedge_interleaved.json").read_text())
 sphere_wedge = parse_graph((data / "wedge_nested.json").read_text())
-print("interleaved ~ nested wedge:",
-      are_isomorphic(torus_wedge, sphere_wedge) is not None)
+split = are_isomorphic(torus_wedge, sphere_wedge) is None
+print("interleaved ~ nested wedge:", not split)
+if not split:
+    raise SystemExit("the two wedge embeddings should not be isomorphic")

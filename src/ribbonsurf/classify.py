@@ -12,10 +12,11 @@ every edge label appears once per sign.  Cut-and-glue rewriting brings that
 word to the canonical form x1 y1 x1' y1' ... xg yg xg' yg', whose length
 names the genus directly.  Every step is recorded in a replayable
 MoveTrace, and the word after every move must keep the genus: a chi oracle
-counts the corner classes of the glued polygon in one pass.  word_to_map,
-which builds the glued map, is the reference the oracle is tested against.
-replay re-runs a trace through the same code: its map moves on one working
-form, frozen once, and its word moves through normalize's checked step.
+counts the corner classes of the glued polygon with the orbit walk that
+reads stars and faces.  word_to_map, which builds the glued map, is the
+reference the oracle is tested against.  replay re-runs a trace through
+the same code: its map moves on one working form, frozen once, and its
+word moves through normalize's checked step.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .errors import (
     PreconditionError,
     UnknownLabelError,
 )
-from .maps import DartRef, RibbonMap, _check_label, _from_dart_rows
-from .surfaces import genus, petal, trace_faces
+from .maps import DartRef, RibbonMap, _check_label, _from_dart_rows, _orbits
+from .surfaces import _genus_of_chi, genus, petal, trace_faces
 
 
 class PolygonWord:
@@ -156,7 +157,7 @@ class _Form:
     __slots__ = ("labels", "order", "sigma", "inv", "dead", "where", "flen",
                  "fkeys", "vert", "starts")
 
-    def __init__(self, ribbon_map: RibbonMap, faces: list):
+    def __init__(self, ribbon_map: RibbonMap):
         n = ribbon_map.num_darts
         self.labels = list(ribbon_map.edge_labels)
         self.order = list(range(ribbon_map.num_edges))
@@ -166,7 +167,7 @@ class _Form:
             self.inv[nxt] = d
         self.dead = bytearray(n)
         self.where, self.flen = [0] * n, {}
-        for face in faces:
+        for face in trace_faces(ribbon_map):
             self.flen[face.darts[0] if face.darts else 0] = len(face)
             for d in face.darts:
                 self.where[d] = face.darts[0]
@@ -376,7 +377,7 @@ class _Form:
 def _map_moves(ribbon_map: RibbonMap, moves) -> RibbonMap:
     """Make recorded DeleteEdge and ContractEdge moves on one working form,
     frozen once at the end."""
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form = _Form(ribbon_map)
     for move in moves:
         k = form.edge(move.label)
         form.delete(k) if isinstance(move, DeleteEdge) else form.contract(k)
@@ -395,7 +396,7 @@ def delete_face_merging_edge(ribbon_map: RibbonMap):
     Returns (new map, deleted label), or None when every edge has both
     sides on one face -- in particular whenever F = 1.
     """
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form = _Form(ribbon_map)
     if (k := form.first_edge(form.where)) is None:
         return None
     form.delete(k)
@@ -416,7 +417,7 @@ def reduce_to_one_vertex_one_face(ribbon_map: RibbonMap):
     """Delete face-merging edges until one face remains, then contract
     non-loop edges until one vertex remains.  Returns (map, MoveTrace).
     The chain runs on one working form, frozen and traced once at the end."""
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form = _Form(ribbon_map)
     moves = []
     while (k := form.first_edge(form.where)) is not None:
         moves.append(DeleteEdge(form.labels[k]))
@@ -457,28 +458,16 @@ def _corner_classes(letters: Sequence) -> list:
     position.  The same pass checks that every label appears once per sign,
     raising MalformedWordError as PolygonWord does."""
     n = len(letters)
-    partner, first = [-1] * n, {}
+    succ, first = [-1] * n, {}
     for i, ref in enumerate(letters):
         j = first.setdefault(ref.label, i)
         if j != i:
-            if partner[j] >= 0 or letters[j].sign == ref.sign:
+            if succ[j] >= 0 or letters[j].sign == ref.sign:
                 break  # a third occurrence, or a second with the same sign
-            partner[i], partner[j] = j, i
-    if -1 in partner:
+            succ[i], succ[j] = j + 1, (i + 1) % n
+    if -1 in succ:
         PolygonWord(letters)  # raises, naming the first bad label
-    seen = bytearray(n)
-    classes = []
-    for start in range(n):
-        orbit, i = [], start
-        while not seen[i]:
-            seen[i] = 1
-            orbit.append(i)
-            i = partner[i] + 1
-            if i == n:
-                i = 0
-        if orbit:
-            classes.append(orbit)
-    return classes
+    return _orbits(succ)[0]
 
 
 def word_to_map(word) -> RibbonMap:
@@ -505,7 +494,7 @@ def word_to_map(word) -> RibbonMap:
 
 def _cyclic_slice(letters: list, i: int, j: int) -> list:
     if i == j:
-        raise InternalInvariantViolation("empty or full cut arc")
+        raise PreconditionError("empty or full cut arc")
     if i < j:
         return letters[i:j]
     return letters[i:] + letters[:j]
@@ -612,10 +601,7 @@ def _oracle_genus(letters: list) -> int:
     word, V its corner classes."""
     if not letters:
         return 0
-    twice = len(letters) // 2 + 1 - len(_corner_classes(letters))
-    if twice % 2 or twice < 0:
-        raise InternalInvariantViolation(f"impossible Euler characteristic {2 - twice}")
-    return twice // 2
+    return _genus_of_chi(len(_corner_classes(letters)) - len(letters) // 2 + 1)
 
 
 def _word_step(letters: list, move, genus: int) -> list:
@@ -743,6 +729,8 @@ def replay(ribbon_map: RibbonMap, trace: MoveTrace) -> Optional[PolygonWord]:
     target = _oracle_genus(letters)
     for move in moves[at:]:
         letters = _word_step(letters, move, target)
+    if letters and not _aligned_rotations(letters):
+        raise PreconditionError("word moves stop before the word is gathered")
     return PolygonWord(canonical_rotation(letters)) if letters else None
 
 
@@ -757,7 +745,7 @@ def insert_edge(ribbon_map: RibbonMap, label: str, face_index: int,
     just before the dart at ``corner_a`` (V stays, m and F grow by one).
     The edgeless sphere admits one insertion: the single loop.
     """
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form = _Form(ribbon_map)
     form.insert(label, face_index, corner_a, corner_b)
     return form.freeze()
 
@@ -770,7 +758,7 @@ def split_vertex(ribbon_map: RibbonMap, label: str, vertex: int,
     cyclic order and gains one side of the new edge.  Inverse to contracting
     that edge (V and m grow by one, F stays).
     """
-    form = _Form(ribbon_map, trace_faces(ribbon_map))
+    form = _Form(ribbon_map)
     form.split(label, vertex, cut_a, cut_b)
     return form.freeze()
 
@@ -782,7 +770,7 @@ def random_filling_map(g: int, moves: int, seed: int) -> RibbonMap:
     frozen and traced once at the end."""
     rng = random.Random(seed)
     start = petal(g)
-    form = _Form(start, trace_faces(start))
+    form = _Form(start)
     for i in range(1, moves + 1):
         label = f"e{i}"
         if not form.order or rng.random() < 0.5:

@@ -4,8 +4,8 @@ Every subcommand prints a deterministic payload: byte-stable JSON documents
 for anything that produces a map, plain ``key: value`` lines otherwise.
 Exit codes: 0 success, 1 domain error (bad input, failed validation, a
 request above a fixed size bound), 2 usage error, 3 internal error (a
-failed consistency check or a stray IndexError: a bug in ribbonsurf,
-reported as ``internal error: ...``).
+failed consistency check or any stray lookup error, an IndexError or a
+KeyError: a bug in ribbonsurf, reported as ``internal error: ...``).
 
 The size bounds are checked before any work.  `random` takes at most
 100,000 moves, and `random` and `petal` a genus of at most 10,000.  A
@@ -113,18 +113,8 @@ def _json_dump(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _move_record(move) -> dict:
-    if isinstance(move, DeleteEdge):
-        return {"move": "delete", "label": move.label}
-    if isinstance(move, ContractEdge):
-        return {"move": "contract", "label": move.label}
-    if isinstance(move, Cancel):
-        return {"move": "cancel", "label": move.label}
-    if isinstance(move, CutGlue):
-        return {"move": "cut_glue", "new_label": move.new_label,
-                "old_label": move.old_label, "cut": list(move.cut),
-                "chord_sign": move.chord_sign}
-    raise PreconditionError(f"unknown move {move!r}")
+_MOVE_NAMES = {DeleteEdge: "delete", ContractEdge: "contract",
+               Cancel: "cancel", CutGlue: "cut_glue"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,48 +122,61 @@ def build_parser() -> argparse.ArgumentParser:
                      description="rotation systems, surfaces, and their groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, *, file_arg=True, json_flag=True):
+    def cmd(name, help_text, run, *, file_arg=True, json_flag=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if file_arg:
             p.add_argument("file", help="graph document path, or - for stdin")
         if json_flag:
             p.add_argument("--json", action="store_true", dest="as_json")
         return p
 
-    cmd("validate", "check a graph document")
-    cmd("faces", "list face boundary words")
-    cmd("genus", "genus of the filled surface")
-    cmd("report", "full surface report")
-    cmd("refine", "subdivide every edge at a midpoint", json_flag=False)
-    cmd("classify", "reduce to the canonical polygon word")
-    p = cmd("iso", "compare two maps up to dart relabelling", file_arg=False)
+    cmd("validate", "check a graph document", _run_validate)
+    cmd("faces", "list face boundary words", _run_faces)
+    cmd("genus", "genus of the filled surface", _run_genus)
+    cmd("report", "full surface report", _run_report)
+    cmd("refine", "subdivide every edge at a midpoint", _run_refine,
+        json_flag=False)
+    cmd("classify", "reduce to the canonical polygon word", _run_classify)
+    p = cmd("iso", "compare two maps up to dart relabelling", _run_iso,
+            file_arg=False)
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p = cmd("pi1", "fundamental group presentation")
+    p = cmd("pi1", "fundamental group presentation", _run_pi1)
     p.add_argument("--base", type=int, default=0)
-    p = cmd("trivial", "decide a word in a supported group",
+    p = cmd("trivial", "decide a word in a supported group", _run_trivial,
             file_arg=False)
     p.add_argument("--group", required=True, help="free:<k>, surface:<g>, zxz")
     p.add_argument("word")
-    p = cmd("homotopic", "decide whether two edge paths are homotopic")
+    p = cmd("homotopic", "decide whether two edge paths are homotopic",
+            _run_homotopic)
     p.add_argument("word_a")
     p.add_argument("word_b")
     p.add_argument("--base", type=int, default=0)
     p = cmd("cayley", "bounded Cayley complex of a supported group",
-            file_arg=False)
+            _run_cayley, file_arg=False)
     p.add_argument("--group", required=True, help="free:<k>, surface:<g>, zxz")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--dot", action="store_true")
-    p = cmd("petal", "the one-vertex genus-g petal map", file_arg=False,
-            json_flag=False)
+    p = cmd("petal", "the one-vertex genus-g petal map", _run_petal,
+            file_arg=False, json_flag=False)
     p.add_argument("genus", type=int)
     p = cmd("random", "pseudorandom filling map of prescribed genus",
-            file_arg=False, json_flag=False)
+            _run_random, file_arg=False, json_flag=False)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--moves", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    cmd("emit-dot", "Graphviz rendering of a map", json_flag=False)
+    cmd("emit-dot", "Graphviz rendering of a map", _run_emit_dot,
+        json_flag=False)
     return parser
+
+
+def _answer(args, key: str, value, **extra) -> CommandResult:
+    """One verdict: ``key: value`` with booleans as true/false, or with
+    --json the object {key: value, **extra}."""
+    if args.as_json:
+        return CommandResult(0, _json_dump({key: value, **extra}))
+    return CommandResult(0, f"{key}: {json.dumps(value)}")
 
 
 def _run_validate(args) -> CommandResult:
@@ -202,10 +205,7 @@ def _run_faces(args) -> CommandResult:
 
 
 def _run_genus(args) -> CommandResult:
-    g = surface_report(_load_map(args.file)).genus
-    if args.as_json:
-        return CommandResult(0, _json_dump({"genus": g}))
-    return CommandResult(0, f"genus: {g}")
+    return _answer(args, "genus", surface_report(_load_map(args.file)).genus)
 
 
 def _run_report(args) -> CommandResult:
@@ -247,7 +247,8 @@ def _run_classify(args) -> CommandResult:
             "genus": result.genus,
             "canonical_word": (result.canonical_word.tokens()
                                if result.canonical_word else None),
-            "moves": [_move_record(m) for m in result.trace],
+            "moves": [{"move": _MOVE_NAMES[type(m)], **vars(m)}
+                      for m in result.trace],
         }))
     return CommandResult(0, "\n".join([f"genus: {result.genus}",
                                        f"canonical_word: {word}",
@@ -256,12 +257,8 @@ def _run_classify(args) -> CommandResult:
 
 def _run_iso(args) -> CommandResult:
     bijection = are_isomorphic(_load_map(args.file_a), _load_map(args.file_b))
-    if args.as_json:
-        return CommandResult(0, _json_dump({
-            "isomorphic": bijection is not None,
-            "mapping": list(bijection.mapping) if bijection else None,
-        }))
-    return CommandResult(0, f"isomorphic: {'true' if bijection else 'false'}")
+    return _answer(args, "isomorphic", bijection is not None,
+                   mapping=list(bijection.mapping) if bijection else None)
 
 
 def _run_pi1(args) -> CommandResult:
@@ -284,10 +281,7 @@ def _run_trivial(args) -> CommandResult:
         raise PreconditionError(f"word must be at most {_MAX_WORD_CHARS} characters")
     pres = parse_group_spec(args.group)
     word = graph_io.parse_word(args.word, generators=pres.generators)
-    verdict = is_trivial_word(word, pres)
-    if args.as_json:
-        return CommandResult(0, _json_dump({"trivial": verdict}))
-    return CommandResult(0, f"trivial: {'true' if verdict else 'false'}")
+    return _answer(args, "trivial", is_trivial_word(word, pres))
 
 
 def _path_from_word(ribbon_map, letters, base: int) -> DiscretePath:
@@ -306,10 +300,8 @@ def _run_homotopic(args) -> CommandResult:
     p2 = _path_from_word(ribbon_map,
                          graph_io.parse_word(args.word_b, generators=labels),
                          args.base)
-    verdict = homotopic(ribbon_map, p1, p2, base=args.base)
-    if args.as_json:
-        return CommandResult(0, _json_dump({"homotopic": verdict}))
-    return CommandResult(0, f"homotopic: {'true' if verdict else 'false'}")
+    return _answer(args, "homotopic",
+                   homotopic(ribbon_map, p1, p2, base=args.base))
 
 
 def _ball_bound(spec: str, rank: int, radius: int) -> int:
@@ -375,24 +367,6 @@ def _run_emit_dot(args) -> CommandResult:
     return CommandResult(0, graph_io.map_to_dot(_load_map(args.file)))
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "faces": _run_faces,
-    "genus": _run_genus,
-    "report": _run_report,
-    "refine": _run_refine,
-    "classify": _run_classify,
-    "iso": _run_iso,
-    "pi1": _run_pi1,
-    "trivial": _run_trivial,
-    "homotopic": _run_homotopic,
-    "cayley": _run_cayley,
-    "petal": _run_petal,
-    "random": _run_random,
-    "emit-dot": _run_emit_dot,
-}
-
-
 def dispatch(argv) -> CommandResult:
     parser = build_parser()
     try:
@@ -402,10 +376,10 @@ def dispatch(argv) -> CommandResult:
     except SystemExit as exc:  # --help
         return CommandResult(exc.code or 0, "")
     try:
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except RibbonError as exc:
         return CommandResult(1, f"error: {exc}")
-    except (IndexError, InternalInvariantViolation) as exc:
+    except (LookupError, InternalInvariantViolation) as exc:
         return CommandResult(3, f"internal error: {exc}")
 
 

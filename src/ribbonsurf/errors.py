@@ -2,7 +2,8 @@
 
 Every domain failure derives from RibbonError so callers (and the CLI) can
 catch one base class.  InternalInvariantViolation deliberately does not: it
-signals a bug in this library, not bad input.
+signals a bug in this library, not bad input.  A MapError subclass's
+``code`` is the issue code a validation report uses for the same problem.
 """
 
 

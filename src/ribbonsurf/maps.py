@@ -7,7 +7,9 @@ fixed-point free by construction.  The rotation sigma is a permutation of the
 darts whose orbits are the vertex stars in cyclic successor order.  A valid
 map is connected: the group generated by sigma and iota acts transitively on
 darts.  The edgeless map is the single exception and stands for the sphere
-with one isolated vertex.
+with one isolated vertex.  One orbit walk, ``_orbits``, reads the stars
+here, the faces in ``surfaces`` and the corner classes of a glued polygon
+in ``classify``.
 """
 
 from __future__ import annotations
@@ -86,13 +88,9 @@ class ValidationReport:
         return f"ValidationReport(ok={self.ok}, issues={self.issues!r})"
 
 
-_ISSUE_EXCEPTIONS = {
-    "DuplicateDart": DuplicateDartError,
-    "MissingDart": MissingDartError,
-    "UnknownLabel": UnknownLabelError,
-    "DuplicateLabel": DuplicateLabelError,
-    "Disconnected": DisconnectedError,
-}
+_ISSUE_EXCEPTIONS = {error.code: error for error in (
+    DuplicateDartError, MissingDartError, UnknownLabelError,
+    DuplicateLabelError, DisconnectedError)}
 
 
 class RibbonMap:
@@ -113,7 +111,7 @@ class RibbonMap:
         self.sigma = tuple(sigma)
         self.num_isolated_vertices = num_isolated_vertices
         self._label_index = {lab: k for k, lab in enumerate(self.edge_labels)}
-        self._stars, self._vertex_of = _sigma_orbits(self.sigma)
+        self._stars, self._vertex_of = _orbits(self.sigma)
 
     # -- sizes ------------------------------------------------------------
 
@@ -219,26 +217,28 @@ class RibbonMap:
                 f"rotations={self.rotation_tokens()!r})")
 
 
-def _sigma_orbits(sigma: Sequence[int]):
-    """Orbits of sigma sorted by smallest element, each starting there."""
-    n = len(sigma)
-    seen = [False] * n
-    stars = []
-    for start in range(n):
-        if seen[start]:
+def _orbits(perm: Sequence[int], flip: int = 0):
+    """(orbits, orbit_of) for the map d -> perm[d ^ flip]: the orbits sorted
+    by smallest element, each a tuple read from that element, and each
+    element's orbit number.  Flip 0 walks the stars of sigma, flip 1 the
+    faces.  A walk that does not close on its start means the map is not a
+    permutation, a bug here: InternalInvariantViolation."""
+    orbit_of = [None] * len(perm)
+    orbits = []
+    for start, k in enumerate(orbit_of):
+        if k is not None:
             continue
+        k = len(orbits)
         orbit = []
         d = start
-        while not seen[d]:
-            seen[d] = True
+        while orbit_of[d] is None:
+            orbit_of[d] = k
             orbit.append(d)
-            d = sigma[d]
-        stars.append(tuple(orbit))
-    vertex_of = [0] * n
-    for v, star in enumerate(stars):
-        for d in star:
-            vertex_of[d] = v
-    return tuple(stars), tuple(vertex_of)
+            d = perm[d ^ flip]
+        if d != start:
+            raise InternalInvariantViolation(f"walk from {start} does not close")
+        orbits.append(tuple(orbit))
+    return orbits, orbit_of
 
 
 def _reached(sigma: Sequence[int]) -> int:

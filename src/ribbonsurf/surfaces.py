@@ -3,9 +3,11 @@
 Walking a face follows the successor phi(e) = sigma(e-bar): arrive along e,
 turn to the next dart counterclockwise around the head vertex, leave along
 it.  The phi-orbits partition the darts, each orbit read once in boundary
-order, so face degrees sum to 2m.  With V vertices, m edges and F faces the
-filled surface has Euler characteristic chi = V - m + F and genus
-(2 - chi) / 2.  The edgeless map stands for the sphere and counts one face.
+order, so face degrees sum to 2m.  The faces come from the orbit walk that
+reads the vertex stars, ``maps._orbits``, with iota applied before each
+step.  With V vertices, m edges and F faces the filled surface has Euler
+characteristic chi = V - m + F and genus (2 - chi) / 2.  The edgeless map
+stands for the sphere and counts one face.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, PreconditionError
-from .maps import RibbonMap, _from_dart_rows
+from .maps import RibbonMap, _from_dart_rows, _orbits
 
 
 @dataclass(frozen=True)
@@ -48,23 +50,8 @@ def trace_faces(ribbon_map: RibbonMap) -> list:
     """All faces, sorted by smallest dart; the S0 map has one empty face."""
     if ribbon_map.num_edges == 0:
         return [Face(())]
-    n = ribbon_map.num_darts
-    sigma = ribbon_map.sigma
-    seen = [False] * n
-    faces = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            orbit.append(d)
-            d = sigma[d ^ 1]
-        if d != start:
-            raise InternalInvariantViolation("face walk left its orbit")
-        faces.append(Face(tuple(orbit)))
-    if sum(len(f) for f in faces) != n:
+    faces = [Face(orbit) for orbit in _orbits(ribbon_map.sigma, 1)[0]]
+    if sum(len(f) for f in faces) != ribbon_map.num_darts:
         raise InternalInvariantViolation("faces do not partition the darts")
     return faces
 
@@ -76,12 +63,16 @@ def euler_characteristic(ribbon_map: RibbonMap) -> int:
     return v - m + f
 
 
-def genus(ribbon_map: RibbonMap) -> int:
-    """Genus of the filled surface; chi = 2 - 2g is always even."""
-    chi = euler_characteristic(ribbon_map)
+def _genus_of_chi(chi: int) -> int:
+    """The genus g of chi = 2 - 2g, which is always even and at most 2."""
     if chi % 2 != 0 or chi > 2:
         raise InternalInvariantViolation(f"impossible Euler characteristic {chi}")
     return (2 - chi) // 2
+
+
+def genus(ribbon_map: RibbonMap) -> int:
+    """Genus of the filled surface."""
+    return _genus_of_chi(euler_characteristic(ribbon_map))
 
 
 def surface_report(ribbon_map: RibbonMap) -> SurfaceReport:
@@ -92,7 +83,7 @@ def surface_report(ribbon_map: RibbonMap) -> SurfaceReport:
         num_edges=ribbon_map.num_edges,
         num_faces=len(faces),
         euler_characteristic=chi,
-        genus=(2 - chi) // 2,
+        genus=_genus_of_chi(chi),
         face_words=tuple(f.word(ribbon_map) for f in faces),
     )
 

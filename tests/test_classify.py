@@ -613,7 +613,7 @@ def test_tampered_traces_fail_as_in_reference():
          PreconditionError, "cut must separate the two occurrences of 'd'"),
         (m, [move for move in moves if move not in words]
          + [CutGlue("z1", "d", (2, 2), -1)],
-         InternalInvariantViolation, "empty or full cut arc"),
+         PreconditionError, "empty or full cut arc"),
         (m, moves + (first,), PreconditionError, f"not a word move: {first!r}"),
     ]
     for ribbon_map, trace, error, message in cases:
@@ -621,6 +621,14 @@ def test_tampered_traces_fail_as_in_reference():
         expected = outcome(reference_replay, ribbon_map, trace)
         assert expected == (error, message)
         assert outcome(replay, ribbon_map, trace) == expected
+    # A trace whose word moves stop before the word is gathered is bad
+    # input; the reference reports it as a failed internal check.
+    for stop in range(len(words)):
+        trace = MoveTrace(moves[:len(moves) - len(words) + stop])
+        assert outcome(replay, m, trace) == (
+            PreconditionError, "word moves stop before the word is gathered")
+        assert outcome(reference_replay, m, trace) == (
+            InternalInvariantViolation, "word is not fully gathered")
 
 
 def test_replay_builds_one_map(monkeypatch):

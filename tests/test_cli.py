@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -144,13 +145,44 @@ def test_exit_codes():
 
 
 def test_internal_errors_are_reported_as_bugs(monkeypatch):
-    for error in (InternalInvariantViolation, IndexError):
+    for error in (InternalInvariantViolation, IndexError, KeyError):
         def broken(args, error=error):
             raise error("faces do not partition the darts")
 
-        monkeypatch.setitem(cli._RUNNERS, "genus", broken)
+        monkeypatch.setattr(cli, "_run_genus", broken)
         assert dispatch(["genus", doc("theta.json")]) == CommandResult(
-            3, "internal error: faces do not partition the darts")
+            3, f"internal error: {error('faces do not partition the darts')}")
+
+
+def test_main_writes_the_result_and_exits_with_its_code(monkeypatch, capsys):
+    # Usage errors go to stderr and everything else to stdout; a newline is
+    # added only when the output lacks one.
+    cases = [(CommandResult(0, "genus: 1"), ("genus: 1\n", "")),
+             (CommandResult(0, "{}\n"), ("{}\n", "")),
+             (CommandResult(0, ""), ("", "")),
+             (CommandResult(1, "error: bad"), ("error: bad\n", "")),
+             (CommandResult(2, "usage error: bad"), ("", "usage error: bad\n")),
+             (CommandResult(3, "internal error: bad"), ("internal error: bad\n", ""))]
+    seen = []
+    monkeypatch.setattr("sys.argv", ["ribbonsurf", "genus", "x.json"])
+    for result, streams in cases:
+        monkeypatch.setattr(cli, "dispatch",
+                            lambda argv, result=result: seen.append(argv) or result)
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert stop.value.code == result.exit_code
+        assert capsys.readouterr() == streams
+    assert seen == [["genus", "x.json"]] * len(cases)
+    monkeypatch.setattr(cli, "dispatch", dispatch)
+    for argv, code, streams in [
+            (["genus", doc("theta.json")], 0, ("genus: 0\n", "")),
+            (["genus"], 2, ("", "usage error: the following arguments are "
+                                "required: file\n"))]:
+        monkeypatch.setattr("sys.argv", ["ribbonsurf"] + argv)
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert stop.value.code == code
+        assert capsys.readouterr() == streams
 
 
 def test_bad_base_vertex_is_a_domain_error():
@@ -258,3 +290,65 @@ def test_stdin_input(monkeypatch, capsys):
     text = (DATA / "petal_1.json").read_text()
     monkeypatch.setattr("sys.stdin", stdio.StringIO(text))
     assert run("genus", "-") == "genus: 1"
+
+
+def pinned_requests(tmp_path):
+    """Every subcommand, plain and --json, over the shipped documents and
+    seeded random ones, plus refusals and domain errors."""
+    documents = sorted(str(path) for path in DATA.glob("*.json"))
+    requests = []
+    for g, moves, seed in [(0, 6, 1), (1, 9, 2), (2, 14, 3), (3, 20, 4)]:
+        argv = ["random", "--genus", str(g), "--moves", str(moves), "--seed", str(seed)]
+        requests.append(argv)
+        path = tmp_path / f"random_{g}.json"
+        path.write_text(dispatch(argv).output)
+        documents.append(str(path))
+    for i, path in enumerate(documents):
+        labels = json.loads(pathlib.Path(path).read_text())["edges"]
+        pairs = [("", ""), (" ".join(labels[:2]), " ".join(labels[1::-1]))]
+        for argv in ([c, path] for c in ("validate", "faces", "genus", "report",
+                                         "classify", "pi1")):
+            requests += [argv, argv + ["--json"]]
+        for argv in ([c, path] for c in ("refine", "emit-dot")):
+            requests.append(argv)
+        for argv in [["pi1", path, "--base", "1"],
+                     ["iso", path, documents[(i + 1) % len(documents)]],
+                     *(["homotopic", path, a, b] for a, b in pairs)]:
+            requests += [argv, argv + ["--json"]]
+    for group in ("free:1", "free:2", "surface:2", "zxz"):
+        for word in ("", "aA", "abAB", "abABcdCD"):
+            argv = ["trivial", "--group", group, word]
+            requests += [argv, argv + ["--json"]]
+        for argv in (["cayley", "--group", group, "--radius", "2", flag]
+                     for flag in ("--json", "--dot")):
+            requests += [argv, argv[:-1]]
+    requests += [["petal", str(g)] for g in range(4)]
+    requests += [["random", "--genus", "1", "--moves", "100001"],
+                 ["petal", "-1"], ["trivial", "--group", "surface:101", "a"],
+                 ["cayley", "--group", "free:2", "--radius", "7"],
+                 ["genus", "/nonexistent/x.json"], ["trivial", "--group", "nope", "a"]]
+    return requests
+
+
+def test_pinned_cli_bytes(tmp_path, capsys):
+    # Captured before the command table and the shared verdict writer.
+    # argparse writes the help and usage-error text itself, and its wording
+    # differs between Python versions, so for those requests only the exit
+    # code and the front-end prefix are pinned.
+    digest = hashlib.sha256()
+    for argv in pinned_requests(tmp_path):
+        result = dispatch(argv)
+        digest.update(f"{result.exit_code}\0{result.output}\0".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "fe266bdae42069c39a26dc15be712b2065134938a74b39d30e1bf8e0dcbc136d")
+    for argv, code in [(["--help"], 0), (["genus", "--help"], 0), ([], 2),
+                       (["unknown-command"], 2), (["genus"], 2),
+                       (["refine", doc("theta.json"), "--json"], 2)]:
+        result = dispatch(argv)
+        out = capsys.readouterr().out
+        assert result.exit_code == code
+        if code:
+            assert result.output.startswith("usage error: ") and not out
+        else:
+            assert result.output == "" and out.startswith("usage: ribbonsurf")

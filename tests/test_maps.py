@@ -57,6 +57,16 @@ def test_sigma_orbits_are_stars():
     assert degree(m, m.vertex_of(0)) == 3
 
 
+def test_star_walk_must_close():
+    # Every star, face and corner-class walk must return to its start: a
+    # sigma that is not a permutation is a bug in the caller.
+    for sigma in [(1, 1), (2, 0, 2, 1), (1, 2, 3, 3)]:
+        with pytest.raises(InternalInvariantViolation, match="does not close"):
+            maps.RibbonMap(["a", "b"][:len(sigma) // 2], sigma)
+    with pytest.raises(InternalInvariantViolation, match="does not close"):
+        maps._orbits([1, 0, 0], 0)
+
+
 def test_parse_dart_token_forms():
     assert parse_dart_token("a+") == DartRef("a", 1)
     assert parse_dart_token("ab_2-") == DartRef("ab_2", -1)
