@@ -516,6 +516,8 @@ def apply_cancel(letters: list, move: Cancel) -> list:
 def apply_cut_glue(letters: list, move: CutGlue) -> list:
     """Cut the cyclic word at ``move.cut`` and reglue along the old edge."""
     i, j = move.cut
+    if not (0 <= i < len(letters) and 0 <= j < len(letters)):
+        raise PreconditionError(f"cut corners {move.cut!r} out of range")
     arc_a = _cyclic_slice(letters, i, j)
     arc_b = _cyclic_slice(letters, j, i)
     pos_a = [p for p, ref in enumerate(arc_a) if ref.label == move.old_label]

@@ -13,9 +13,9 @@ group spec takes a rank or genus of at most 100, and `trivial` a word of
 at most 100,000 characters.  `cayley` refuses a radius above 2,000, or
 one whose ball may hold more than 2,000 elements.  That size is exact for
 free groups (2r + 1 at rank 1, 1 + 2k((2k-1)^r - 1)/(2k-2) at rank k >= 2)
-and for zxz (2r^2 + 2r + 1); for surface:g it is the bound of the free
-group of rank 2g.  `classify` refuses a map of more than 2,000 edges, once
-it is read.
+and for Z x Z, spelled zxz or surface:1 (2r^2 + 2r + 1); for surface:g
+with g >= 2 it is the bound of the free group of rank 2g.  `classify`
+refuses a map of more than 2,000 edges, once it is read.
 """
 
 from __future__ import annotations
@@ -304,13 +304,14 @@ def _run_homotopic(args) -> CommandResult:
                    homotopic(ribbon_map, p1, p2, base=args.base))
 
 
-def _ball_bound(spec: str, rank: int, radius: int) -> int:
+def _ball_bound(pres: Presentation, radius: int) -> int:
     """Elements in the radius ball, or some number above _MAX_BALL once it
-    passes that: the lattice diamond for zxz, else the ball of the free
-    group of the same rank (exact for free groups, an upper bound for
-    surface groups)."""
-    if spec == "zxz":
+    passes that: the lattice diamond for Z x Z (zxz or surface:1), else the
+    ball of the free group of the same rank (exact for free groups, an
+    upper bound for surface groups)."""
+    if pres.genus_hint == 1:
         return 2 * radius * radius + 2 * radius + 1
+    rank = len(pres.generators)
     size, sphere = 1, 2 * rank
     for _ in range(radius):
         if size > _MAX_BALL or not sphere:
@@ -324,7 +325,7 @@ def _run_cayley(args) -> CommandResult:
     pres = parse_group_spec(args.group)
     if args.radius > _MAX_BALL:
         raise PreconditionError(f"radius must be <= {_MAX_BALL}")
-    if _ball_bound(args.group, len(pres.generators), args.radius) > _MAX_BALL:
+    if _ball_bound(pres, args.radius) > _MAX_BALL:
         raise PreconditionError(
             f"radius {args.radius} is too large for {args.group}: "
             f"the ball may hold more than {_MAX_BALL} elements")

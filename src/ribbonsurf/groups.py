@@ -75,12 +75,10 @@ def exponent_sums(word: Sequence[Letter], generators: Sequence[str]) -> tuple:
 @dataclass(frozen=True)
 class Presentation:
     """Generators with formal inverses, and one relator word per defining
-    relation.  ``genus_hint`` marks the standard genus-g surface shape so
-    the solver can dispatch without re-deriving it."""
+    relation."""
 
     generators: tuple
     relators: tuple
-    genus_hint: Optional[int] = None
 
     def __post_init__(self):
         gens = set(self.generators)
@@ -95,6 +93,12 @@ class Presentation:
     @property
     def deficiency(self) -> int:
         return len(self.generators) - len(self.relators)
+
+    @property
+    def genus_hint(self) -> Optional[int]:
+        """g when the presentation is exactly the standard genus-g surface
+        shape (no generators and no relators for g = 0), else None."""
+        return _surface_shape_genus(self)
 
 
 def _letter_names(k: int) -> list:
@@ -122,9 +126,7 @@ def surface_group(g: int) -> Presentation:
     if g < 0:
         raise PreconditionError("genus must be >= 0")
     gens = tuple(standard_pair_labels(g))
-    if g == 0:
-        return Presentation((), (), genus_hint=0)
-    return Presentation(gens, (_commutator_product(gens),), genus_hint=g)
+    return Presentation(gens, (_commutator_product(gens),) if g else ())
 
 
 def zxz_presentation() -> Presentation:
@@ -156,10 +158,7 @@ def solver_kind(pres: Presentation) -> str:
     """
     if not pres.relators:
         return "free"
-    g = _surface_shape_genus(pres)
-    if pres.genus_hint is not None and g != pres.genus_hint:
-        raise UnsupportedPresentationError(
-            "genus_hint does not match the presentation shape")
+    g = pres.genus_hint
     if g == 1:
         return "abelian"
     if g is not None and g >= 2:
@@ -325,7 +324,7 @@ def pi1_presentation(ribbon_map: RibbonMap, base: int = 0) -> Presentation:
     if ribbon_map.num_edges == 0:
         if base != 0:
             raise PreconditionError(f"vertex {base} out of range")
-        return Presentation((), (), genus_hint=0)
+        return Presentation((), ())
     tree = spanning_tree(ribbon_map, base)
     gens = tuple(lab for lab in ribbon_map.edge_labels if lab not in tree)
     relators = []
@@ -333,11 +332,7 @@ def pi1_presentation(ribbon_map: RibbonMap, base: int = 0) -> Presentation:
         word = [(ribbon_map.edge_of(d), -1 if d & 1 else 1)
                 for d in face.darts if ribbon_map.edge_of(d) not in tree]
         relators.append(cyclic_reduce(word))
-    pres = Presentation(gens, tuple(relators))
-    shape = _surface_shape_genus(pres)
-    if shape is not None:
-        pres = Presentation(gens, tuple(relators), genus_hint=shape)
-    return pres
+    return Presentation(gens, tuple(relators))
 
 
 # -- discrete paths -----------------------------------------------------------
@@ -392,8 +387,6 @@ def homotopic(ribbon_map: RibbonMap, p1: DiscretePath, p2: DiscretePath,
     if ends1 != ends2:
         raise EndpointMismatchError(
             f"paths run {ends1[0]}->{ends1[1]} and {ends2[0]}->{ends2[1]}")
-    if ribbon_map.num_edges == 0:
-        return True
     pres = pi1_presentation(ribbon_map, base)
     tree = set(ribbon_map.edge_labels) - set(pres.generators)
     word = (path_word(ribbon_map, p1, tree)

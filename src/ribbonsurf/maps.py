@@ -7,7 +7,7 @@ fixed-point free by construction.  The rotation sigma is a permutation of the
 darts whose orbits are the vertex stars in cyclic successor order.  A valid
 map is connected: the group generated by sigma and iota acts transitively on
 darts.  The edgeless map is the single exception and stands for the sphere
-with one isolated vertex.  One orbit walk, ``_orbits``, reads the stars
+with one vertex.  One orbit walk, ``_orbits``, reads the stars
 here, the faces in ``surfaces`` and the corner classes of a glued polygon
 in ``classify``.
 """
@@ -102,14 +102,11 @@ class RibbonMap:
     order of their smallest dart, and each star tuple starts at that dart.
     """
 
-    __slots__ = ("edge_labels", "sigma", "num_isolated_vertices",
-                 "_stars", "_vertex_of", "_label_index")
+    __slots__ = ("edge_labels", "sigma", "_stars", "_vertex_of", "_label_index")
 
-    def __init__(self, edge_labels: Sequence[str], sigma: Sequence[int],
-                 num_isolated_vertices: int = 0):
+    def __init__(self, edge_labels: Sequence[str], sigma: Sequence[int]):
         self.edge_labels = tuple(edge_labels)
         self.sigma = tuple(sigma)
-        self.num_isolated_vertices = num_isolated_vertices
         self._label_index = {lab: k for k, lab in enumerate(self.edge_labels)}
         self._stars, self._vertex_of = _orbits(self.sigma)
 
@@ -125,7 +122,7 @@ class RibbonMap:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._stars) + self.num_isolated_vertices
+        return len(self._stars) or 1
 
     # -- darts ------------------------------------------------------------
 
@@ -164,9 +161,7 @@ class RibbonMap:
         """Darts at ``vertex`` in cyclic order, starting at the smallest."""
         if not 0 <= vertex < self.num_vertices:
             raise IndexError(f"vertex {vertex} out of range")
-        if vertex >= len(self._stars):
-            return ()
-        return self._stars[vertex]
+        return self._stars[vertex] if self._stars else ()
 
     def vertex_of(self, dart: int) -> int:
         self._check_dart(dart)
@@ -177,41 +172,28 @@ class RibbonMap:
 
     def rotation_tokens(self) -> list:
         """Rotations as token-string lists, in canonical vertex order."""
-        rotations = [[self.dart_ref(d).token() for d in star] for star in self._stars]
-        if self.num_isolated_vertices:
-            rotations.append([])
-        return rotations
+        return [[self.dart_ref(d).token() for d in star]
+                for star in self._stars] or [[]]
 
     # -- equality ---------------------------------------------------------
 
-    def _canonical_stars(self) -> tuple:
-        """Stars as token tuples, each at its least rotation, sorted.
-
-        Independent of edge declaration order, vertex order, and the phase
-        each rotation list was written at; two maps are equal exactly when
-        they have the same labelled star structure.
-        """
-        out = []
-        for star in self._stars:
-            tokens = tuple(self.dart_ref(d).token() for d in star)
-            out.append(min(tokens[i:] + tokens[:i]
-                           for i in range(len(tokens))))
-        out.sort()
-        return tuple(out)
+    def _successor_pairs(self) -> frozenset:
+        """(dart token, next token around its vertex) for every dart: the
+        labelled star structure, independent of edge declaration order,
+        vertex order, and the phase each rotation list was written at."""
+        tokens = [lab + side for lab in self.edge_labels for side in "+-"]
+        return frozenset(zip(tokens, [tokens[d] for d in self.sigma]))
 
     def __eq__(self, other):
         if not isinstance(other, RibbonMap):
             return NotImplemented
-        return (sorted(self.edge_labels) == sorted(other.edge_labels)
-                and self.num_isolated_vertices == other.num_isolated_vertices
-                and self._canonical_stars() == other._canonical_stars())
+        return self._successor_pairs() == other._successor_pairs()
 
     def __hash__(self):
-        return hash((tuple(sorted(self.edge_labels)),
-                     self.num_isolated_vertices, self._canonical_stars()))
+        return hash(self._successor_pairs())
 
     def __repr__(self):
-        if not self.edge_labels and self.num_isolated_vertices:
+        if not self.edge_labels:
             return "RibbonMap(S0)"
         return (f"RibbonMap(edges={list(self.edge_labels)!r}, "
                 f"rotations={self.rotation_tokens()!r})")
@@ -260,7 +242,7 @@ def _reached(sigma: Sequence[int]) -> int:
 def _parse_rotation_lists(edge_labels: Sequence[str],
                           rotations: Sequence[Sequence[DartLike]]):
     """(report, sigma): every problem found, and the rotation read off the
-    tokens once they all parse and the map has edges (else None)."""
+    tokens once they all parse (else None)."""
     report = ValidationReport()
     labels = list(edge_labels)
     seen_labels = set()
@@ -315,7 +297,7 @@ def _parse_rotation_lists(edge_labels: Sequence[str],
         # Edgeless sphere: at most one (empty) vertex.
         if len(rotations) > 1:
             report.add("Disconnected", "edgeless map may have only one vertex")
-        return report, None
+        return report, []
     if empty_rotations:
         report.add("IsolatedVertex",
                    "isolated vertices are only allowed in the edgeless map")
@@ -350,8 +332,6 @@ def from_rotation_lists(edge_labels: Sequence[str],
     if not report.ok:
         code, message = report.issues[0]
         raise _ISSUE_EXCEPTIONS.get(code, MapError)(message)
-    if not labels:
-        return RibbonMap((), (), num_isolated_vertices=1)
     return RibbonMap(labels, sigma)
 
 
@@ -366,7 +346,7 @@ def _from_dart_rows(edge_labels: Sequence[str], rows) -> RibbonMap:
     if n == 0:
         if len(rows) > 1 or any(rows):
             raise InternalInvariantViolation("edgeless map needs one empty vertex")
-        return RibbonMap((), (), num_isolated_vertices=1)
+        return RibbonMap((), ())
     sigma = [None] * n
     for row in rows:
         if not row:
@@ -400,7 +380,7 @@ def relabeled(ribbon_map: RibbonMap, mapping: dict) -> RibbonMap:
         raise DuplicateLabelError("label mapping is not injective")
     for lab in new_labels:
         _check_label(lab)
-    return RibbonMap(new_labels, ribbon_map.sigma, ribbon_map.num_isolated_vertices)
+    return RibbonMap(new_labels, ribbon_map.sigma)
 
 
 def refine(ribbon_map: RibbonMap) -> RibbonMap:
@@ -411,8 +391,6 @@ def refine(ribbon_map: RibbonMap) -> RibbonMap:
     ``(e_1-, e_2+)``.  The result has V+m vertices and 2m edges and is a
     subdivision of the same surface.
     """
-    if ribbon_map.num_edges == 0:
-        return ribbon_map
     new_labels = []
     for lab in ribbon_map.edge_labels:
         new_labels.extend((lab + "_1", lab + "_2"))

@@ -631,6 +631,22 @@ def test_tampered_traces_fail_as_in_reference():
             InternalInvariantViolation, "word is not fully gathered")
 
 
+def test_cut_corners_must_lie_on_the_word():
+    m = random_filling_map(2, 7, 11)
+    reduced, map_trace = reduce_to_one_vertex_one_face(m)
+    letters = list(polygon_word(reduced).letters)
+    assert len(letters) == 8
+    glued = classify_module.apply_cut_glue(letters, CutGlue("z1", "d", (0, 2), -1))
+    assert [ref.label for ref in glued].count("z1") == 2
+    for cut in ((-8, 2), (8, 2), (0, 8), (-1, 3), (0, 100)):
+        move = CutGlue("z1", "d", cut, -1)
+        message = f"cut corners {cut!r} out of range"
+        assert outcome(classify_module.apply_cut_glue, letters, move) == (
+            PreconditionError, message)
+        trace = MoveTrace(map_trace.moves + (move,))
+        assert outcome(replay, m, trace) == (PreconditionError, message)
+
+
 def test_replay_builds_one_map(monkeypatch):
     # The map moves run on one working form: the input and the reduced map
     # are traced, and only the reduced map is built.

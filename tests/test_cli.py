@@ -30,6 +30,19 @@ def doc(name):
     return str(DATA / name)
 
 
+def test_torus_ball_cap_follows_the_group_not_its_spelling():
+    # zxz and surface:1 are one presentation, so they share the diamond cap.
+    for r in range(32):
+        plain = run("cayley", "--group", "zxz", "--radius", str(r))
+        assert run("cayley", "--group", "surface:1", "--radius", str(r)) == plain
+        if r in (0, 10, 31):
+            assert plain.startswith(f"vertices: {2 * r * r + 2 * r + 1}\n")
+    for group in ("zxz", "surface:1"):
+        assert dispatch(["cayley", "--group", group, "--radius", "32"]) == CommandResult(
+            1, f"error: radius 32 is too large for {group}: "
+            f"the ball may hold more than {cli._MAX_BALL} elements")
+
+
 def test_group_spec_grammar():
     assert parse_group_spec("free:2") == free_presentation(2)
     assert parse_group_spec("surface:3") == surface_group(3)

@@ -56,7 +56,7 @@ def test_word_times_inverse_reduces_to_identity(w):
 
 
 def test_surface_group_presentations():
-    assert surface_group(0) == Presentation((), (), genus_hint=0)
+    assert surface_group(0) == Presentation((), ())
     g1 = surface_group(1)
     assert g1.generators == ("a", "b")
     assert g1.relators == (parse_word("abAB"),)
@@ -462,7 +462,27 @@ def test_homotopic_on_tree_is_always_true():
     assert homotopic(path, out, back)
 
 
-def test_genus_hint_mismatch_rejected():
-    bogus = Presentation(("a", "b"), (parse_word("abAB"),), genus_hint=2)
-    with pytest.raises(UnsupportedPresentationError):
-        is_trivial_word(parse_word("a"), bogus)
+def test_genus_hint_is_derived():
+    # The hint is read off the generators and relators, so no presentation
+    # can carry one that disagrees with its shape.
+    assert free_presentation(0).genus_hint == 0
+    assert free_presentation(2).genus_hint is None
+    assert Presentation(("a", "b"), (parse_word("abAB"),)).genus_hint == 1
+    assert Presentation(("a",), (parse_word("aaa"),)).genus_hint is None
+    theta = from_rotation_lists(
+        ["e1", "e2", "e3"],
+        [["e1+", "e2+", "e3+"], ["e1-", "e3-", "e2-"]])
+    assert pi1_presentation(theta).genus_hint is None
+    for g in range(5):
+        assert surface_group(g).genus_hint == g
+        assert pi1_presentation(petal(g)).genus_hint == g
+    with pytest.raises(TypeError):
+        Presentation(("a", "b"), (parse_word("abAB"),), genus_hint=2)
+
+
+def test_homotopic_on_the_sphere_checks_base():
+    sphere = petal(0)
+    here = DiscretePath((), start=0)
+    assert homotopic(sphere, here, here)
+    with pytest.raises(PreconditionError, match="vertex 1 out of range"):
+        homotopic(sphere, here, here, base=1)

@@ -146,6 +146,49 @@ def test_edgeless_map():
     assert from_rotation_lists([], []).num_vertices == 1
 
 
+def test_edgeless_map_is_the_one_vertex_sphere():
+    s0 = maps.RibbonMap((), ())
+    assert s0.num_vertices == 1 and s0.vertices() == (0,) and s0.star(0) == ()
+    assert s0.rotation_tokens() == [[]]
+    assert repr(s0) == "RibbonMap(S0)"
+    assert s0 == from_rotation_lists([], [[]]) == from_rotation_lists([], []) == petal(0)
+    assert hash(s0) == hash(petal(0))
+    assert refine(s0) == s0
+    with pytest.raises(IndexError):
+        s0.star(1)
+
+
+def canonical_stars(m):
+    """Reference equality key: the sorted edge labels, and every star as a
+    token tuple at its least rotation, the stars sorted."""
+    stars = []
+    for v in range(m.num_vertices):
+        tokens = tuple(m.dart_ref(d).token() for d in m.star(v))
+        stars.append(min((tokens[i:] + tokens[:i] for i in range(len(tokens))),
+                         default=()))
+    return tuple(sorted(m.edge_labels)), tuple(sorted(stars))
+
+
+EQUALITY_CORPUS = [m for _, m in corpus(40, seed=23)] + [petal(0), petal(1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(EQUALITY_CORPUS) - 1),
+       st.integers(0, len(EQUALITY_CORPUS) - 1), st.integers(0, 2 ** 32))
+def test_equality_matches_canonical_stars_reference(i, j, seed):
+    # Pairs: a map and its rotation lists re-written (edges and vertices
+    # shuffled, each list re-phased), two corpus maps (often with the same
+    # labels), one of them re-written, and a map with its edges renamed.
+    rng = random.Random(seed)
+    a, b = EQUALITY_CORPUS[i], EQUALITY_CORPUS[j]
+    for x, y in ((a, scramble(a, rng, rename=False)), (a, b),
+                 (a, scramble(b, rng, rename=False)), (a, scramble(a, rng))):
+        same = canonical_stars(x) == canonical_stars(y)
+        assert (x == y) is same and (y == x) is same
+        if same:
+            assert hash(x) == hash(y)
+
+
 def test_equality_ignores_presentation_order():
     m = theta()
     rng = random.Random(3)
