@@ -9,13 +9,13 @@ KeyError: a bug in ribbonsurf, reported as ``internal error: ...``).
 
 The size bounds are checked before any work.  `random` takes at most
 100,000 moves, and `random` and `petal` a genus of at most 10,000.  A
-group spec takes a rank or genus of at most 100, and `trivial` a word of
-at most 100,000 characters.  `cayley` refuses a radius above 2,000, or
-one whose ball may hold more than 2,000 elements.  That size is exact for
-free groups (2r + 1 at rank 1, 1 + 2k((2k-1)^r - 1)/(2k-2) at rank k >= 2)
-and for Z x Z, spelled zxz or surface:1 (2r^2 + 2r + 1); for surface:g
-with g >= 2 it is the bound of the free group of rank 2g.  `classify`
-refuses a map of more than 2,000 edges, once it is read.
+group spec takes a rank or genus of at most 100, and `trivial` and
+`homotopic` words of at most 100,000 characters.  `cayley` refuses a radius
+above 2,000, or one whose ball may hold more than 2,000 elements.  That
+size is exact for free groups (2r + 1 at rank 1, 1 + 2k((2k-1)^r - 1)/(2k-2)
+at rank k >= 2) and for Z x Z, spelled zxz or surface:1 (2r^2 + 2r + 1);
+for surface:g with g >= 2 it is the bound of the free group of rank 2g.
+`classify` refuses a map of more than 2,000 edges, once it is read.
 """
 
 from __future__ import annotations
@@ -292,6 +292,8 @@ def _path_from_word(ribbon_map, letters, base: int) -> DiscretePath:
 
 
 def _run_homotopic(args) -> CommandResult:
+    if max(len(args.word_a), len(args.word_b)) > _MAX_WORD_CHARS:
+        raise PreconditionError(f"word must be at most {_MAX_WORD_CHARS} characters")
     ribbon_map = _load_map(args.file)
     labels = ribbon_map.edge_labels
     p1 = _path_from_word(ribbon_map,

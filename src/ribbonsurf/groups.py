@@ -6,14 +6,15 @@ the fundamental group of the filled surface.  For the one-vertex petal maps
 this is literally the genus-g surface presentation
 <a1, b1, ..., ag, bg | a1 b1 a1' b1' ... ag bg ag' bg'>.
 
-The word problem is decided by presentation shape, chosen once per
-presentation by a Solver: free presentations by free reduction, genus 1
-(the abelian a b a' b' relator) by exponent sums, genus >= 2 by Dehn's
-algorithm in one pass over a stack: at most (1 + R/4) * n lookups for n
-letters and a relator of length R, in a table of 2R shifts keyed by two
-letters, O(R) in memory.  It is complete by Greendlinger's lemma: the surface
-relator's pieces have one letter, so it satisfies C'(1/7), and a nonempty
-freely reduced trivial word contains more than half of a relator shift.
+The word problem is decided on letter codes (generator i is 2i, its inverse
+2i + 1, so c ^ 1 inverts a letter), by presentation shape, chosen once by a
+Solver: free presentations by free reduction, genus 1 (the abelian a b a' b'
+relator) by counting codes, genus >= 2 by Dehn's algorithm in one pass over a
+sentinel-padded stack that also cancels free pairs: at most (1 + R/4) * n
+lookups for n letters and a relator of length R, in an O(R) table of 2R
+shifts.  It is complete by Greendlinger's lemma: the surface relator's pieces
+have one letter, so it satisfies C'(1/7), and a nonempty freely reduced
+trivial word contains more than half of a relator shift.
 """
 
 from __future__ import annotations
@@ -167,64 +168,68 @@ def solver_kind(pres: Presentation) -> str:
         "solver handles free and standard surface presentations only")
 
 
-def _dehn_trivial(word: Sequence[Letter], pieces: dict, need: int) -> bool:
-    """Dehn's algorithm in one pass over a stack.  ``pieces`` maps the two
-    letters that end the first ``need`` letters of a relator shift (more
-    than half of it) to that shift (see Solver).  Pushes cancel free pairs.
-    The stack never holds a shift's first ``need`` letters, and every longer
-    relator subword ends in them, so one lookup per push finds every
-    rewrite: the top two letters name the one shift that can match, and the
-    top ``need`` letters are compared with it (its first letter alone
-    first, since most pairs that hit start no match).  A hit is popped and
-    the inverse of the shift's rest is pushed back.  A rewrite shortens
-    stack plus pending letters by 2 * need - R >= 1, so n letters take at
-    most (1 + R/4) * n lookups.  By Greendlinger's lemma the word is trivial
-    iff the stack ends empty: no cyclic pass is needed."""
-    stack = []
-    pending = list(reversed(word))
+def _dehn_trivial(codes: list, pieces: dict, need: int, width: int) -> bool:
+    """Dehn's algorithm in one pass over a stack of letter codes, padded
+    with ``need`` sentinels -2 (no code, inverse or key) so its top
+    ``need`` entries exist.  ``pieces`` maps prev * width + c, the codes
+    ending the first ``need`` letters of a relator shift (over half of it),
+    to that shift (see Solver).  Pushes cancel free pairs.  The stack never
+    holds a shift's first ``need`` letters, and every longer relator
+    subword ends in them, so one lookup per push finds every rewrite: the
+    shift named by the top two codes is compared with the top ``need`` (its
+    first code alone first).  A hit is popped and the inverse of the
+    shift's rest pushed back.  A rewrite shortens stack plus pending
+    letters by 2 * need - R >= 1, so n letters take at most (1 + R/4) * n
+    lookups.  By Greendlinger's lemma the word is trivial iff no letter is
+    left.  With no pieces and ``need`` 1 it is free reduction."""
+    stack = [-2] * need
+    pending = codes[::-1]
+    get = pieces.get
     while pending:
-        lab, sign = letter = pending.pop()
-        if stack and stack[-1][0] == lab and stack[-1][1] == -sign:
+        c = pending.pop()
+        top = stack[-1]
+        if top == c ^ 1:
             stack.pop()
             continue
-        stack.append(letter)
-        if len(stack) >= need:
-            shift = pieces.get((stack[-2], letter))
-            if shift is not None:
-                cycle, flipped, start, cut, stop = shift
-                if stack[-need] == cycle[start] and stack[-need:] == cycle[start:cut]:
-                    del stack[-need:]
-                    pending.extend(flipped[cut:stop])
-    return not stack
+        stack.append(c)
+        shift = get(top * width + c)
+        if shift is not None:
+            cycle, flipped, start, cut, stop = shift
+            if stack[-need] == cycle[start] and stack[-need:] == cycle[start:cut]:
+                del stack[-need:]
+                pending.extend(flipped[cut:stop])
+    return len(stack) == need
 
 
 class Solver:
     """The word-problem procedure of one presentation, resolved once by
     solver_kind (which raises for unsupported shapes).  The methods take
-    freely reduced words over the generators."""
+    words over the generators, ``key`` and ``step`` freely reduced ones."""
 
     def __init__(self, pres: Presentation):
         self.kind = solver_kind(pres)
         self.generators = pres.generators
         self._index = {g: i for i, g in enumerate(pres.generators)}
+        self._code = {(g, s): 2 * i + (s < 0)
+                      for i, g in enumerate(pres.generators) for s in (1, -1)}
         self.identity_key = () if self.kind == "free" else (0,) * len(pres.generators)
+        self._pieces, self._need, self._width = {}, 1, len(self._code)
         if self.kind == "dehn":
-            relator = pres.relators[0]
+            relator = [self._code[letter] for letter in pres.relators[0]]
             size = len(relator)
             self._need = need = size // 2 + 1
             # Shift s of a base word is cycle[s:s + size]; a hit pushes the
-            # letters of flipped[s + need:s + size], which popped in turn
+            # codes of flipped[s + need:s + size], which popped in turn
             # spell the inverse of the shift's rest.  Every entry shares its
-            # base's two lists, so the table holds O(size) letters.
-            self._pieces = {}
-            for base in (relator, invert_word(relator)):
-                cycle = list(base + base)
-                flipped = [(lab, -sign) for lab, sign in cycle]
+            # base's two lists, so the table holds O(size) codes.
+            for base in (relator, [c ^ 1 for c in reversed(relator)]):
+                cycle = base + base
+                flipped = [c ^ 1 for c in cycle]
                 for s in range(size):
-                    ends = (cycle[s + need - 2], cycle[s + need - 1])
+                    ends = cycle[s + need - 2] * self._width + cycle[s + need - 1]
                     if ends in self._pieces:
                         raise InternalInvariantViolation(
-                            f"relator has a piece of two letters {ends!r}")
+                            f"relator has a piece of two letters at shift {s}")
                     self._pieces[ends] = (cycle, flipped, s, s + need, s + size)
 
     def key(self, word: tuple):
@@ -252,14 +257,26 @@ class Solver:
     def same(self, u: tuple, v: tuple) -> bool:
         """Do two words with the same key name the same element?  Always
         when the key is exact, else by Dehn's algorithm on u v'."""
-        return self.kind != "dehn" or self.is_trivial(free_reduce(u + invert_word(v)))
+        return self.kind != "dehn" or _dehn_trivial(
+            [*map(self._code.get, u)] + [self._code[x] ^ 1 for x in reversed(v)],
+            self._pieces, self._need, self._width)
 
-    def is_trivial(self, word: tuple) -> bool:
-        if self.kind == "free":
-            return not word
+    def is_trivial(self, word: Sequence[Letter]) -> bool:
+        word = tuple(word)  # the checks below may read it a second time
+        try:
+            codes = list(map(self._code.get, word))
+        except TypeError:  # an unhashable letter, such as a list
+            codes = [None]
+        if None in codes:
+            for lab, sign in word:
+                if (lab, 1) not in self._code:
+                    raise UnknownLabelError(f"word uses unknown generator {lab!r}")
+                if sign not in (1, -1):
+                    raise PreconditionError(f"bad sign {sign!r} in word")
+            codes = [self._code[lab, sign] for lab, sign in word]
         if self.kind == "abelian":
-            return not any(exponent_sums(word, self.generators))
-        return _dehn_trivial(word, self._pieces, self._need)
+            return all(codes.count(c) == codes.count(c + 1) for c in (0, 2))
+        return _dehn_trivial(codes, self._pieces, self._need, self._width)
 
 
 def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:
@@ -269,16 +286,12 @@ def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:
     presentations (genus 1 is Z x Z).  Anything else raises
     UnsupportedPresentationError rather than guessing.
     """
-    gens = set(pres.generators)
-    for lab, sign in word:
-        if lab not in gens:
-            raise UnknownLabelError(f"word uses unknown generator {lab!r}")
-        if sign not in (1, -1):
-            raise PreconditionError(f"bad sign {sign!r} in word")
-    w = free_reduce(word)
-    if not w:
-        return True
-    return Solver(pres).is_trivial(w)
+    try:
+        return Solver(pres).is_trivial(word)
+    except UnsupportedPresentationError:
+        if Solver(Presentation(pres.generators, ())).is_trivial(word):
+            return True
+        raise
 
 
 def homotopic_words(u: Sequence[Letter], v: Sequence[Letter],

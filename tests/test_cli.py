@@ -278,6 +278,26 @@ def test_unbounded_requests_are_refused(monkeypatch, tmp_path):
                      + [("classify", edges)])
 
 
+def test_homotopic_words_are_capped_before_the_map_is_read(monkeypatch, tmp_path):
+    # Either word over the cap is refused with the map path left unread (it
+    # does not exist); words at the cap get past it to the word parser.
+    chars = cli._MAX_WORD_CHARS
+    parsed = []
+    monkeypatch.setattr(cli.graph_io, "parse_word",
+                        lambda text, generators: parsed.append(len(text)) or ())
+    missing = str(tmp_path / "missing.json")
+    refused = f"error: word must be at most {chars} characters"
+    for words in (("a" * (chars + 1), ""), ("", "a" * (chars + 1)),
+                  ("a" * (chars + 1), "a" * chars)):
+        assert dispatch(["homotopic", missing, *words]) == CommandResult(1, refused)
+    assert not parsed
+    assert run("homotopic", missing, "a" * chars, "", expect=1).startswith(
+        f"error: cannot read {missing!r}")
+    assert run("homotopic", doc("petal_1.json"), "a" * chars, "a" * chars) \
+        == "homotopic: true"
+    assert parsed == [chars, chars]
+
+
 def test_largest_balls_are_served():
     # The costliest requests under the ball cap, built for real: 2r + 1,
     # 2r^2 + 2r + 1 and 1 + 4(3^r - 1)/2 elements.

@@ -486,3 +486,182 @@ def test_homotopic_on_the_sphere_checks_base():
     assert homotopic(sphere, here, here)
     with pytest.raises(PreconditionError, match="vertex 1 out of range"):
         homotopic(sphere, here, here, base=1)
+
+
+# -- the tuple path as a differential reference --------------------------------
+# The word problem as it was decided on (label, sign) letters: a validation
+# loop, free reduction, then exponent sums or a Dehn pass over tuple letters
+# with a table keyed on letter pairs.  The library decides on integer codes.
+
+
+def reference_free_reduce(word):
+    stack = []
+    for lab, sign in word:
+        if stack and stack[-1][0] == lab and stack[-1][1] == -sign:
+            stack.pop()
+        else:
+            stack.append((lab, sign))
+    return tuple(stack)
+
+
+def reference_exponent_sums(word, generators):
+    sums = dict.fromkeys(generators, 0)
+    for lab, sign in word:
+        sums[lab] += sign
+    return tuple(sums[g] for g in generators)
+
+
+def reference_tuple_dehn(word, relator):
+    size = len(relator)
+    need = size // 2 + 1
+    pieces = {}
+    for base in (relator, invert_word(relator)):
+        cycle = list(base + base)
+        flipped = [(lab, -sign) for lab, sign in cycle]
+        for s in range(size):
+            ends = (cycle[s + need - 2], cycle[s + need - 1])
+            assert ends not in pieces
+            pieces[ends] = (cycle, flipped, s, s + need, s + size)
+    stack = []
+    pending = list(reversed(word))
+    while pending:
+        lab, sign = letter = pending.pop()
+        if stack and stack[-1][0] == lab and stack[-1][1] == -sign:
+            stack.pop()
+            continue
+        stack.append(letter)
+        if len(stack) >= need:
+            shift = pieces.get((stack[-2], letter))
+            if shift is not None:
+                cycle, flipped, start, cut, stop = shift
+                if stack[-need] == cycle[start] and stack[-need:] == cycle[start:cut]:
+                    del stack[-need:]
+                    pending.extend(flipped[cut:stop])
+    return not stack
+
+
+def reference_is_trivial_word(word, pres):
+    gens = set(pres.generators)
+    for lab, sign in word:
+        if lab not in gens:
+            raise UnknownLabelError(f"word uses unknown generator {lab!r}")
+        if sign not in (1, -1):
+            raise PreconditionError(f"bad sign {sign!r} in word")
+    w = reference_free_reduce(word)
+    if not w:
+        return True
+    kind = solver_kind(pres)
+    if kind == "free":
+        return False
+    if kind == "abelian":
+        return not any(reference_exponent_sums(w, pres.generators))
+    return reference_tuple_dehn(w, pres.relators[0])
+
+
+DIFFERENTIAL_GROUPS = (free_presentation(2), free_presentation(3), zxz_presentation(),
+                       surface_group(2), surface_group(3), surface_group(5))
+
+
+@st.composite
+def unreduced_words(draw, pres):
+    """A word that is often trivial: a random base (often empty) with inverse
+    pairs and conjugated relator shifts, either way round, inserted at
+    random places, so it is rarely freely reduced."""
+    gen = st.tuples(st.sampled_from(pres.generators), st.sampled_from([1, -1]))
+    word = draw(st.one_of(st.just([]), st.lists(gen, max_size=30)))
+    for _ in range(draw(st.integers(0, 5))):
+        conj = draw(st.lists(gen, max_size=5))
+        if pres.relators and draw(st.booleans()):
+            relator = pres.relators[0]
+            shift = draw(st.integers(0, len(relator) - 1))
+            inner = list(relator[shift:] + relator[:shift])
+        else:
+            inner = [draw(gen)]
+        if draw(st.booleans()):
+            inner = list(invert_word(inner))
+        inner = inner if draw(st.booleans()) else inner + list(invert_word(inner))
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = conj + inner + list(invert_word(conj))
+    return tuple(word)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_code_path_matches_tuple_path(data):
+    pres = data.draw(st.sampled_from(DIFFERENTIAL_GROUPS))
+    word = data.draw(unreduced_words(pres))
+    expected = reference_is_trivial_word(word, pres)
+    assert is_trivial_word(word, pres) == expected
+    assert groups.Solver(pres).is_trivial(word) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_same_matches_the_tuple_path(data):
+    # same(u, v) decides u v' by Dehn's algorithm for genus >= 2 and trusts
+    # equal keys otherwise (exact keys), as Cayley balls call it.
+    pres = data.draw(st.sampled_from(DIFFERENTIAL_GROUPS))
+    solver = groups.Solver(pres)
+    u = data.draw(unreduced_words(pres))
+    v = data.draw(st.one_of(unreduced_words(pres),
+                            st.just(u + data.draw(unreduced_words(pres)))))
+    expected = solver.is_trivial(free_reduce(u + invert_word(v)))
+    assert expected == reference_is_trivial_word(u + invert_word(v), pres)
+    if solver.kind == "dehn" or solver.key(free_reduce(u)) == solver.key(free_reduce(v)):
+        assert solver.same(u, v) == expected
+        assert solver.same(free_reduce(u), free_reduce(v)) == expected
+
+
+def outcome(decide, word, pres):
+    try:
+        return decide(word, pres)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+UNSUPPORTED = Presentation(("a", "b"), (parse_word("aab"),))
+
+
+@pytest.mark.parametrize("pres", [free_presentation(2), zxz_presentation(),
+                                  surface_group(2), UNSUPPORTED],
+                         ids=["free2", "zxz", "surface2", "unsupported"])
+def test_inputs_are_checked_as_on_the_tuple_path(pres):
+    bad = [[("a", 1), ("x", 1)]]                                     # unknown label
+    bad += [[("a", 1), ("b", sign)] for sign in (0, 2, "1", None, False)]
+    bad += [[("x", 1), ("a", 2)], [("a", 2), ("x", 1)]]              # first is reported
+    bad += [[("a", 1, 0)], ["a"], [(["a"], 1)], [("a", 1), "b1"]]    # malformed letters
+    for word in bad:
+        got = outcome(is_trivial_word, word, pres)
+        assert got == outcome(reference_is_trivial_word, word, pres), word
+        assert isinstance(got, tuple) and issubclass(got[0], Exception), word
+    assert outcome(is_trivial_word, [("x", 1)], pres) == (
+        UnknownLabelError, "word uses unknown generator 'x'")
+    assert outcome(is_trivial_word, [("a", 1), ("a", None)], pres) == (
+        PreconditionError, "bad sign None in word")
+    # list letters and a True sign are accepted, and freely trivial words
+    # are trivial even where no solver fits
+    for word in ([["a", 1], ["a", -1]], [("a", True), ("a", -1)],
+                 [["b", True], ("a", 1), ("a", -1), ("b", -1)], ()):
+        assert is_trivial_word(word, pres) is True
+        assert reference_is_trivial_word(word, pres) is True
+    for word in ([["a", True]], [("a", 1), ["b", -1]]):
+        got = outcome(is_trivial_word, word, pres)
+        assert got == outcome(reference_is_trivial_word, word, pres)
+        if pres is UNSUPPORTED:
+            assert got == (UnsupportedPresentationError,
+                           "solver handles free and standard surface presentations only")
+        else:
+            assert got is False
+
+
+def test_words_may_be_one_shot_iterators():
+    # The first, fast read of a word can meet a letter it does not know; the
+    # checks then read the word again, so an iterator is not used up first.
+    g2 = surface_group(2)
+    assert is_trivial_word(iter(parse_word("abABcdCD")), g2)
+    assert not is_trivial_word(iter(parse_word("abAB")), g2)
+    assert is_trivial_word(iter([["a", 1], ("a", -1)]), g2)
+    with pytest.raises(UnknownLabelError, match="unknown generator 'x'"):
+        is_trivial_word(iter([("a", 1), ("x", 1)]), g2)
+    with pytest.raises(PreconditionError, match="bad sign 2"):
+        is_trivial_word((letter for letter in [("a", 2)]), free_presentation(1))
