@@ -12,11 +12,13 @@ has zero exponent sum in each generator.  The key is exact for free groups
 and Z x Z; for genus >= 2 words sharing a key are compared by Dehn's
 algorithm (u = v iff u v' is trivial).
 
-Every word the ball, edge and cell loops look up is one letter away from a
-freely reduced word whose key is known, so each is made by one solver step:
-the letter cancels the last one or is appended, and the key is carried from
-the parent's (the new word itself, or one exponent sum moved by one).  Only
-the Dehn comparisons of genus >= 2 read whole words.
+The growth loop runs radius + 1 rounds and records every forward step that
+lands inside the ball as an edge; its last round adds no element and steps
+forward letters only.  Every word the growth and cell loops look up is one
+letter away from a freely reduced word whose key is known, so each is made
+by one solver step: the letter cancels the last one or is appended, and the
+key is carried from the parent's (the new word itself, or one exponent sum
+moved by one).  Only the Dehn comparisons of genus >= 2 read whole words.
 """
 
 from __future__ import annotations
@@ -63,24 +65,22 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
 
     forward = [(g, 1) for g in pres.generators]
     alphabet = forward + [(g, -1) for g in pres.generators]
-    start = 0
-    for _ in range(radius):
+    edges, start = [], 0
+    for depth in range(radius + 1):
         stop = len(words)
-        for base, base_key in zip(words[start:stop], keys[start:stop]):
-            for letter in alphabet:
+        grow = depth < radius
+        for ui, base, base_key in zip(range(start, stop), words[start:], keys[start:]):
+            for letter in alphabet if grow else forward:
                 word, key = solver.step(base, base_key, letter)
-                if find(word, key) is None:
-                    by_key.setdefault(key, []).append(len(words))
+                vi = find(word, key)
+                if vi is None and grow:
+                    vi = len(words)
+                    by_key.setdefault(key, []).append(vi)
                     words.append(word)
                     keys.append(key)
+                if vi is not None and letter[1] > 0:
+                    edges.append((ui, letter[0], vi))
         start = stop
-
-    edges = []
-    for ui, (base, base_key) in enumerate(zip(words, keys)):
-        for letter in forward:
-            target = find(*solver.step(base, base_key, letter))
-            if target is not None:
-                edges.append((ui, letter[0], target))
 
     cells = []
     for base_index, (base, base_key) in enumerate(zip(words, keys)):

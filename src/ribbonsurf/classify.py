@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -500,17 +501,25 @@ def _cyclic_slice(letters: list, i: int, j: int) -> list:
     return letters[i:] + letters[:j]
 
 
+def _inverse_pair(letters: list, label: Optional[str] = None) -> Optional[int]:
+    """Start of the first cyclically adjacent pair x x' (of ``label``, if
+    given), or None."""
+    n = len(letters)
+    for i, a in enumerate(letters):
+        b = letters[(i + 1) % n]
+        if a.label == b.label and a.sign == -b.sign and label in (None, a.label):
+            return i
+    return None
+
+
 def apply_cancel(letters: list, move: Cancel) -> list:
     """Remove the (cyclically) adjacent inverse pair of ``move.label``."""
-    n = len(letters)
-    for i in range(n):
-        j = (i + 1) % n
-        a, b = letters[i], letters[j]
-        if a.label == move.label == b.label and a.sign == -b.sign:
-            if i < j:
-                return letters[:i] + letters[j + 1:]
-            return letters[1:i]  # pair wraps around the end
-    raise PreconditionError(f"label {move.label!r} has no adjacent inverse pair")
+    i = _inverse_pair(letters, move.label)
+    if i is None:
+        raise PreconditionError(f"label {move.label!r} has no adjacent inverse pair")
+    if i + 1 < len(letters):
+        return letters[:i] + letters[i + 2:]
+    return letters[1:i]  # pair wraps around the end
 
 
 def apply_cut_glue(letters: list, move: CutGlue) -> list:
@@ -556,15 +565,6 @@ def _strict_blocks(letters: list) -> list:
                 and (a.sign, b.sign, c.sign, d.sign) == (1, 1, -1, -1)):
             starts.append(p)
     return starts
-
-
-def _gathered_labels(letters: list) -> set:
-    out = set()
-    n = len(letters)
-    for p in _strict_blocks(letters):
-        out.add(letters[p].label)
-        out.add(letters[(p + 1) % n].label)
-    return out
 
 
 def _aligned_rotations(letters: list) -> list:
@@ -614,24 +614,6 @@ def _word_step(letters: list, move, genus: int) -> list:
     return letters
 
 
-def _fresh_label(used: set, counter: list) -> str:
-    while True:
-        name = f"z{counter[0]}"
-        counter[0] += 1
-        if name not in used:
-            used.add(name)
-            return name
-
-
-def _find_adjacent_inverse(letters: list):
-    n = len(letters)
-    for i in range(n):
-        a, b = letters[i], letters[(i + 1) % n]
-        if a.label == b.label and a.sign == -b.sign:
-            return a.label
-    return None
-
-
 def _linked_pairs(letters: list, ignore: set):
     """Labels (a, b) outside ``ignore`` whose occurrences interleave."""
     positions = {}
@@ -647,11 +629,11 @@ def _linked_pairs(letters: list, ignore: set):
 
 
 def _cut_around(letters: list, around: str, old_label: str, chord_sign: int,
-                used: set, counter: list) -> CutGlue:
-    """Cut just around the two occurrences of ``around`` with a fresh chord
-    and reglue along ``old_label``."""
+                fresh) -> CutGlue:
+    """Cut just around the two occurrences of ``around`` with the next label
+    from ``fresh`` and reglue along ``old_label``."""
     p1, p2 = [p for p, ref in enumerate(letters) if ref.label == around]
-    return CutGlue(new_label=_fresh_label(used, counter), old_label=old_label,
+    return CutGlue(new_label=next(fresh), old_label=old_label,
                    cut=(p1, (p2 + 1) % len(letters)), chord_sign=chord_sign)
 
 
@@ -669,19 +651,18 @@ def normalize(word):
         _check_label(ref.label)
     target = _oracle_genus(letters)
     used = {ref.label for ref in letters}
-    counter = [1]
+    fresh = (name for name in map("z{}".format, count(1)) if name not in used)
     moves = []
-    while True:
-        lab = _find_adjacent_inverse(letters)
-        if lab is not None:
-            moves.append(Cancel(lab))
+    while letters:
+        i = _inverse_pair(letters)
+        if i is not None:
+            moves.append(Cancel(letters[i].label))
             letters = _word_step(letters, moves[-1], target)
             continue
-        if not letters:
-            break
-        gathered = _gathered_labels(letters)
-        present = {ref.label for ref in letters}
-        if gathered == present:
+        n = len(letters)
+        gathered = {letters[(p + k) % n].label
+                    for p in _strict_blocks(letters) for k in (0, 1)}
+        if 2 * len(gathered) == n:  # the oracle keeps each label twice
             break
         try:
             a, b = next(_linked_pairs(letters, gathered))
@@ -691,9 +672,9 @@ def normalize(word):
                 "come from a one-vertex map") from None
         # Two cuts fuse the linked pair into a fresh gathered block, leaving
         # every other arc of the word intact.
-        moves.append(_cut_around(letters, a, b, -1, used, counter))
+        moves.append(_cut_around(letters, a, b, -1, fresh))
         letters = _word_step(letters, moves[-1], target)
-        moves.append(_cut_around(letters, moves[-1].new_label, a, 1, used, counter))
+        moves.append(_cut_around(letters, moves[-1].new_label, a, 1, fresh))
         letters = _word_step(letters, moves[-1], target)
     return PolygonWord(canonical_rotation(letters)), MoveTrace(tuple(moves))
 

@@ -307,20 +307,15 @@ def _run_homotopic(args) -> CommandResult:
 
 
 def _ball_bound(pres: Presentation, radius: int) -> int:
-    """Elements in the radius ball, or some number above _MAX_BALL once it
-    passes that: the lattice diamond for Z x Z (zxz or surface:1), else the
-    ball of the free group of the same rank (exact for free groups, an
-    upper bound for surface groups)."""
+    """Elements in the radius ball: the lattice diamond for Z x Z (zxz or
+    surface:1), else the ball of the free group of the same rank (exact for
+    free groups, an upper bound for surface groups)."""
     if pres.genus_hint == 1:
         return 2 * radius * radius + 2 * radius + 1
-    rank = len(pres.generators)
-    size, sphere = 1, 2 * rank
-    for _ in range(radius):
-        if size > _MAX_BALL or not sphere:
-            break
-        size += sphere
-        sphere *= 2 * rank - 1
-    return size
+    k = len(pres.generators)
+    if k < 2:
+        return 2 * k * radius + 1
+    return 1 + k * ((2 * k - 1) ** radius - 1) // (k - 1)
 
 
 def _run_cayley(args) -> CommandResult:

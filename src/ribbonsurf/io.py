@@ -38,7 +38,8 @@ class GraphDocument:
 
 def parse_word(text: str, generators: Optional[Sequence[str]] = None) -> tuple:
     """Parse a word; with ``generators`` given, single-token labels win over
-    the one-letter-per-character reading."""
+    the one-letter-per-character reading, and a spaced token naming a
+    generator reads as that generator, even a single uppercase letter."""
     text = text.strip()
     if not text:
         return ()
@@ -50,7 +51,7 @@ def parse_word(text: str, generators: Optional[Sequence[str]] = None) -> tuple:
         for token in text.split():
             if token.endswith("'"):
                 lab, sign = token[:-1], -1
-            elif len(token) == 1 and token.isupper():
+            elif len(token) == 1 and token.isupper() and token not in (known or ()):
                 lab, sign = token.lower(), -1
             else:
                 lab, sign = token, 1

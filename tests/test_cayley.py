@@ -176,6 +176,25 @@ def test_balls_never_reduce_or_sum_whole_words(monkeypatch, pres, radius, size):
     assert calls == []
 
 
+@pytest.mark.parametrize("pres, radius, steps", [
+    (free_presentation(2), 3, 4 * 17 + 2 * 36),
+    (zxz_presentation(), 5, 400),
+    (surface_group(2), 2, 389),
+], ids=["free2", "zxz", "surface2"])
+def test_edges_come_from_the_growth_steps(monkeypatch, pres, radius, steps):
+    # Rounds 0..r-1 step every letter from each element of their sphere and
+    # round r steps forward letters only, recording the edges as it goes;
+    # no separate pass steps the forward letters again.  free:2 at r = 3
+    # steps 17 inner elements by 4 letters and 36 outer ones by 2; the zxz
+    # and surface:2 counts include the steps of the cell loop.
+    calls = []
+    step = Solver.step
+    monkeypatch.setattr(Solver, "step",
+                        lambda self, *args: calls.append(1) or step(self, *args))
+    cayley_ball(pres, radius)
+    assert len(calls) == steps
+
+
 @pytest.mark.parametrize("pres, radius, digest", [
     (free_presentation(2), 3,
      "673a565cc190e6587b56ba0e025945d0fa7b63e207ddd21a55a48ed59c63c569"),

@@ -3,6 +3,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonsurf import cli
 from ribbonsurf.cli import CommandResult, dispatch, parse_group_spec
@@ -11,8 +12,11 @@ from ribbonsurf import (
     PreconditionError,
     free_presentation,
     from_rotation_lists,
+    random_filling_map,
     serialize_graph,
     surface_group,
+    trace_faces,
+    zxz_presentation,
 )
 from ribbonsurf.cayley import cayley_ball as real_ball
 from ribbonsurf.classify import classify as real_classify
@@ -41,6 +45,12 @@ def test_torus_ball_cap_follows_the_group_not_its_spelling():
         assert dispatch(["cayley", "--group", group, "--radius", "32"]) == CommandResult(
             1, f"error: radius 32 is too large for {group}: "
             f"the ball may hold more than {cli._MAX_BALL} elements")
+
+
+def test_ball_bound_is_the_ball_size():
+    for pres in [free_presentation(k) for k in (1, 2, 3)] + [zxz_presentation()]:
+        for r in range(5):
+            assert cli._ball_bound(pres, r) == real_ball(pres, r).num_vertices
 
 
 def test_group_spec_grammar():
@@ -116,6 +126,40 @@ def test_homotopic_subcommand():
         == "homotopic: true"
     out = run("homotopic", doc("theta.json"), "e1 e2'", "e1 e3'", expect=1)
     assert out.startswith("error:")
+
+
+def test_homotopic_reads_uppercase_labels_back(tmp_path):
+    # The faces output of a map with edge label A spells A for the label
+    # itself, and homotopic reads it back that way.
+    path = tmp_path / "upper.json"
+    path.write_text(serialize_graph(from_rotation_lists(
+        ["A", "b"], [["A+", "b-", "A-", "b+"]])))
+    face = run("faces", str(path))
+    assert face == "A b A' b'"
+    assert run("homotopic", str(path), face, "") == "homotopic: true"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 20), st.integers(0, 10 ** 6))
+def test_cli_sweep_over_random_maps(tmp_path_factory, g, moves, seed):
+    ribbon_map = random_filling_map(g, moves, seed)
+    path = str(tmp_path_factory.mktemp("sweep") / "map.json")
+    pathlib.Path(path).write_text(serialize_graph(ribbon_map))
+    for command in ("validate", "faces", "genus", "report", "classify", "iso", "pi1"):
+        argv = [command, path] + ([path] if command == "iso" else [])
+        run(*argv)
+        run(*argv, "--json")
+    run("refine", path)
+    run("emit-dot", path)
+    face = run("faces", path).splitlines()[0]
+    base = (ribbon_map.vertex_of(trace_faces(ribbon_map)[0].darts[0])
+            if ribbon_map.num_edges else 0)
+    result = dispatch(["homotopic", path, "" if face == "(empty)" else face, "",
+                       "--base", str(base)])
+    # The solver refuses presentations not in standard form until ROADMAP
+    # item 1 (homotopy on every map) removes this allowance.
+    assert result in (CommandResult(0, "homotopic: true"), CommandResult(
+        1, "error: solver handles free and standard surface presentations only"))
 
 
 def test_cayley_subcommand():

@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonsurf import (
     DocumentSyntaxError,
@@ -17,6 +18,7 @@ from ribbonsurf import (
     serialize_graph,
 )
 from ribbonsurf.io import cayley_ball_to_dot, cayley_ball_to_json, map_to_dot
+from ribbonsurf.maps import LABEL_PATTERN
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -44,6 +46,23 @@ def test_word_grammar_respects_known_generators():
 def test_format_word_round_trip():
     for text in ["", "abAB", "xyzXYZ", "e1 e2'", "alpha beta' alpha'"]:
         assert format_word(parse_word(text)) == text
+
+
+generator_labels = st.one_of(st.sampled_from("ABCabc"),
+                             st.from_regex(LABEL_PATTERN, fullmatch=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(generator_labels, min_size=1, max_size=4, unique=True).flatmap(
+    lambda names: st.tuples(st.just(names), st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from([1, -1]))))))
+def test_format_word_round_trips_over_generators(case):
+    names, word = case
+    text = format_word(word)
+    # A whole text that names a generator reads as that generator, which the
+    # compact form of a different word can spell ("A" for a', "ab" for a b).
+    expected = ((text, 1),) if text in names else tuple(word)
+    assert parse_word(text, generators=names) == expected
 
 
 def test_malformed_words_rejected():
