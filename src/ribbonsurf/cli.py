@@ -1,7 +1,8 @@
 """Command line front end.
 
-Every subcommand prints a deterministic payload: byte-stable JSON documents
-for anything that produces a map, plain ``key: value`` lines otherwise.
+Every subcommand builds one deterministic answer.  Commands that produce a
+map print it as a byte-stable JSON graph document; the others print their
+answer as plain ``key: value`` lines, or with --json as one JSON object.
 Exit codes: 0 success, 1 domain error (bad input, failed validation, a
 request above a fixed size bound), 2 usage error, 3 internal error (a
 failed consistency check or any stray lookup error, an IndexError or a
@@ -171,37 +172,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(args, data, lines, code: int = 0) -> CommandResult:
+    """A command's one answer, printed as the JSON document ``data`` with
+    --json, else as the text ``lines``."""
+    if args.as_json:
+        return CommandResult(code, _json_dump(data))
+    return CommandResult(code, "\n".join(lines))
+
+
 def _answer(args, key: str, value, **extra) -> CommandResult:
     """One verdict: ``key: value`` with booleans as true/false, or with
     --json the object {key: value, **extra}."""
-    if args.as_json:
-        return CommandResult(0, _json_dump({key: value, **extra}))
-    return CommandResult(0, f"{key}: {json.dumps(value)}")
+    return _emit(args, {key: value, **extra}, [f"{key}: {json.dumps(value)}"])
 
 
 def _run_validate(args) -> CommandResult:
     doc = graph_io.parse_document(_read_text(args.file))
     report = validate_rotation_lists(doc.edges, doc.rotations)
-    if args.as_json:
-        payload = _json_dump({"ok": report.ok,
-                              "issues": [{"code": c, "message": m}
-                                         for c, m in report.issues]})
-    elif report.ok:
-        payload = "ok"
-    else:
-        payload = "\n".join(f"{code}: {message}" for code, message in report.issues)
-    return CommandResult(0 if report.ok else 1, payload)
+    return _emit(args,
+                 {"ok": report.ok,
+                  "issues": [{"code": c, "message": m} for c, m in report.issues]},
+                 [f"{code}: {message}" for code, message in report.issues] or ["ok"],
+                 0 if report.ok else 1)
+
+
+def _surface(args):
+    """The map's surface report and its face words, as token lists and as
+    text spelled so that it reads back over the map's labels."""
+    ribbon_map = _load_map(args.file)
+    report = surface_report(ribbon_map)
+    return (report, [[ref.token() for ref in word] for word in report.face_words],
+            [graph_io.format_word(word, ribbon_map.edge_labels) or "(empty)"
+             for word in report.face_words])
 
 
 def _run_faces(args) -> CommandResult:
-    report = surface_report(_load_map(args.file))
-    words = [graph_io.format_word(word) or "(empty)"
-             for word in report.face_words]
-    if args.as_json:
-        return CommandResult(0, _json_dump(
-            {"faces": [[ref.token() for ref in word]
-                       for word in report.face_words]}))
-    return CommandResult(0, "\n".join(words))
+    _, tokens, texts = _surface(args)
+    return _emit(args, {"faces": tokens}, texts)
 
 
 def _run_genus(args) -> CommandResult:
@@ -209,25 +216,15 @@ def _run_genus(args) -> CommandResult:
 
 
 def _run_report(args) -> CommandResult:
-    report = surface_report(_load_map(args.file))
-    if args.as_json:
-        return CommandResult(0, _json_dump({
-            "vertices": report.num_vertices,
-            "edges": report.num_edges,
-            "faces": report.num_faces,
-            "euler_characteristic": report.euler_characteristic,
-            "genus": report.genus,
-            "face_words": [[ref.token() for ref in word]
-                           for word in report.face_words],
-        }))
-    lines = [f"vertices: {report.num_vertices}",
-             f"edges: {report.num_edges}",
-             f"faces: {report.num_faces}",
-             f"euler_characteristic: {report.euler_characteristic}",
-             f"genus: {report.genus}"]
-    lines += [f"face: {graph_io.format_word(word) or '(empty)'}"
-              for word in report.face_words]
-    return CommandResult(0, "\n".join(lines))
+    report, tokens, texts = _surface(args)
+    counts = {"vertices": report.num_vertices,
+              "edges": report.num_edges,
+              "faces": report.num_faces,
+              "euler_characteristic": report.euler_characteristic,
+              "genus": report.genus}
+    return _emit(args, {**counts, "face_words": tokens},
+                 [f"{key}: {value}" for key, value in counts.items()]
+                 + [f"face: {text}" for text in texts])
 
 
 def _run_refine(args) -> CommandResult:
@@ -240,19 +237,15 @@ def _run_classify(args) -> CommandResult:
     if ribbon_map.num_edges > _MAX_CLASSIFY_EDGES:
         raise PreconditionError(f"classify takes at most {_MAX_CLASSIFY_EDGES} edges")
     result = classify(ribbon_map)
-    word = (graph_io.format_word([(r.label, r.sign) for r in result.canonical_word])
-            if result.canonical_word else "S0")
-    if args.as_json:
-        return CommandResult(0, _json_dump({
-            "genus": result.genus,
-            "canonical_word": (result.canonical_word.tokens()
-                               if result.canonical_word else None),
-            "moves": [{"move": _MOVE_NAMES[type(m)], **vars(m)}
-                      for m in result.trace],
-        }))
-    return CommandResult(0, "\n".join([f"genus: {result.genus}",
-                                       f"canonical_word: {word}",
-                                       f"moves: {len(result.trace)}"]))
+    word = result.canonical_word
+    return _emit(args,
+                 {"genus": result.genus,
+                  "canonical_word": word.tokens() if word else None,
+                  "moves": [{"move": _MOVE_NAMES[type(m)], **vars(m)}
+                            for m in result.trace]},
+                 [f"genus: {result.genus}",
+                  f"canonical_word: {graph_io.format_word(word) if word else 'S0'}",
+                  f"moves: {len(result.trace)}"])
 
 
 def _run_iso(args) -> CommandResult:
@@ -263,17 +256,13 @@ def _run_iso(args) -> CommandResult:
 
 def _run_pi1(args) -> CommandResult:
     pres = pi1_presentation(_load_map(args.file), base=args.base)
-    if args.as_json:
-        return CommandResult(0, _json_dump({
-            "generators": list(pres.generators),
-            "relators": [graph_io.format_word(rel) or "1"
-                         for rel in pres.relators],
-            "genus_hint": pres.genus_hint,
-        }))
-    lines = ["generators: " + (" ".join(pres.generators) or "(none)")]
-    lines += [f"relator: {graph_io.format_word(rel) or '1'}"
-              for rel in pres.relators]
-    return CommandResult(0, "\n".join(lines))
+    relators = [graph_io.format_word(rel, pres.generators) or "1"
+                for rel in pres.relators]
+    return _emit(args,
+                 {"generators": list(pres.generators), "relators": relators,
+                  "genus_hint": pres.genus_hint},
+                 ["generators: " + (" ".join(pres.generators) or "(none)")]
+                 + [f"relator: {text}" for text in relators])
 
 
 def _run_trivial(args) -> CommandResult:
@@ -284,7 +273,8 @@ def _run_trivial(args) -> CommandResult:
     return _answer(args, "trivial", is_trivial_word(word, pres))
 
 
-def _path_from_word(ribbon_map, letters, base: int) -> DiscretePath:
+def _path_from_word(ribbon_map, text: str, base: int) -> DiscretePath:
+    letters = graph_io.parse_word(text, generators=ribbon_map.edge_labels)
     if not letters:
         return DiscretePath((), start=base)
     return DiscretePath(tuple(ribbon_map.dart_index(letter)
@@ -295,13 +285,8 @@ def _run_homotopic(args) -> CommandResult:
     if max(len(args.word_a), len(args.word_b)) > _MAX_WORD_CHARS:
         raise PreconditionError(f"word must be at most {_MAX_WORD_CHARS} characters")
     ribbon_map = _load_map(args.file)
-    labels = ribbon_map.edge_labels
-    p1 = _path_from_word(ribbon_map,
-                         graph_io.parse_word(args.word_a, generators=labels),
-                         args.base)
-    p2 = _path_from_word(ribbon_map,
-                         graph_io.parse_word(args.word_b, generators=labels),
-                         args.base)
+    p1 = _path_from_word(ribbon_map, args.word_a, args.base)
+    p2 = _path_from_word(ribbon_map, args.word_b, args.base)
     return _answer(args, "homotopic",
                    homotopic(ribbon_map, p1, p2, base=args.base))
 

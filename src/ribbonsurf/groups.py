@@ -371,6 +371,10 @@ def path_endpoints(ribbon_map: RibbonMap, path: DiscretePath) -> tuple:
         if not 0 <= path.start < ribbon_map.num_vertices:
             raise PreconditionError(f"vertex {path.start} out of range")
         return path.start, path.start
+    for d in path.darts:
+        if not 0 <= d < ribbon_map.num_darts:
+            raise PreconditionError(
+                f"dart {d} out of range for {ribbon_map.num_edges} edges")
     tail = ribbon_map.vertex_of(path.darts[0])
     if path.start is not None and path.start != tail:
         raise PreconditionError("start does not match the first dart")

@@ -8,7 +8,9 @@ stable.
 
 Words over generators are written either compactly -- one letter per
 generator, uppercase meaning the inverse ("abAB") -- or as space-separated
-tokens with a trailing apostrophe for the inverse ("a1 b1 a1' b1'").
+tokens with a trailing apostrophe for the inverse ("a1 b1 a1' b1'").  A
+whole text that names a generator reads as that generator, so over such
+generators format_word writes the spaced form instead.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cayley import CayleyBall
 from .errors import DocumentSyntaxError, MalformedWordError
 from .maps import LABEL_PATTERN, RibbonMap, from_rotation_lists
 from .surfaces import trace_faces
@@ -70,13 +71,17 @@ def parse_word(text: str, generators: Optional[Sequence[str]] = None) -> tuple:
     return tuple(letters)
 
 
-def format_word(letters: Sequence) -> str:
-    """Inverse of parse_word, choosing the compact form when possible."""
+def format_word(letters: Sequence, generators: Sequence[str] = ()) -> str:
+    """Inverse of parse_word over ``generators``: the compact form when
+    possible, unless that text names a generator, which parse_word would
+    read as that generator."""
     letters = tuple(letters)
     if not letters:
         return ""
     if all(len(lab) == 1 and lab.islower() for lab, _ in letters):
-        return "".join(lab if sign > 0 else lab.upper() for lab, sign in letters)
+        text = "".join(lab if sign > 0 else lab.upper() for lab, sign in letters)
+        if text not in generators:
+            return text
     return " ".join(lab if sign > 0 else lab + "'" for lab, sign in letters)
 
 
@@ -172,7 +177,7 @@ def _word_name(letters: tuple) -> str:
     return format_word(letters) or "1"
 
 
-def cayley_ball_to_dot(ball: CayleyBall, name: str = "Cayley") -> str:
+def cayley_ball_to_dot(ball, name: str = "Cayley") -> str:
     lines = [f"digraph {name} {{",
              "  // one arc per positive generator move; inverse arcs implied",
              f"  // cells: one per (base vertex, relator) with its loop inside "
@@ -188,7 +193,7 @@ def cayley_ball_to_dot(ball: CayleyBall, name: str = "Cayley") -> str:
     return "\n".join(lines) + "\n"
 
 
-def cayley_ball_to_json(ball: CayleyBall) -> str:
+def cayley_ball_to_json(ball) -> str:
     pres = ball.presentation
     data = {
         "generators": list(pres.generators),

@@ -289,8 +289,7 @@ def _parse_rotation_lists(edge_labels: Sequence[str],
             lab = labels[dart >> 1]
             side = "-" if dart & 1 else "+"
             report.add("MissingDart", f"dart {lab}{side} appears in no rotation")
-    if not report.ok and any(code in ("DuplicateDart", "MissingDart", "UnknownLabel",
-                                      "BadToken") for code, _ in report.issues):
+    if not report.ok:
         return report, None
 
     if n == 0:

@@ -12,9 +12,12 @@ from ribbonsurf import (
     PreconditionError,
     free_presentation,
     from_rotation_lists,
+    parse_dart_token,
+    parse_word,
     random_filling_map,
     serialize_graph,
     surface_group,
+    surface_report,
     trace_faces,
     zxz_presentation,
 )
@@ -137,6 +140,62 @@ def test_homotopic_reads_uppercase_labels_back(tmp_path):
     face = run("faces", str(path))
     assert face == "A b A' b'"
     assert run("homotopic", str(path), face, "") == "homotopic: true"
+
+
+def test_faces_read_back_when_a_compact_word_names_a_label(tmp_path):
+    # Over the labels a and A the face a' is not written A, and over a, b
+    # and ab the face a b is not written ab: each would read back as an edge.
+    for labels, rotations, face in [
+            (["a", "A"], [["a+", "a-", "A+", "A-"]], "a'"),
+            (["a", "b", "ab"], [["a+", "a-", "b+", "ab+", "b-"], ["ab-"]], "a b")]:
+        ribbon_map = from_rotation_lists(labels, rotations)
+        path = tmp_path / "clash.json"
+        path.write_text(serialize_graph(ribbon_map))
+        lines = run("faces", str(path)).splitlines()
+        assert face in lines
+        assert [parse_word(line, generators=labels) for line in lines] == [
+            tuple(word) for word in surface_report(ribbon_map).face_words]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 12), st.integers(0, 10 ** 6))
+def test_text_and_json_forms_agree(tmp_path_factory, g, moves, seed):
+    ribbon_map = random_filling_map(g, moves, seed)
+    labels = ribbon_map.edge_labels
+    folder = tmp_path_factory.mktemp("forms")
+    path = str(folder / "map.json")
+    pathlib.Path(path).write_text(serialize_graph(ribbon_map))
+
+    def both(*argv, expect=0):
+        return run(*argv, expect=expect).splitlines(), json.loads(
+            run(*argv, "--json", expect=expect))
+
+    def read_back(texts):
+        return [parse_word("" if text == "(empty)" else text, generators=labels)
+                for text in texts]
+
+    def token_words(words):
+        return [tuple(map(parse_dart_token, tokens)) for tokens in words]
+
+    lines, payload = both("faces", path)
+    assert read_back(lines) == token_words(payload["faces"])
+    lines, payload = both("report", path)
+    assert lines[:5] == [f"{key}: {payload[key]}" for key in
+                         ("vertices", "edges", "faces", "euler_characteristic", "genus")]
+    assert read_back(line.removeprefix("face: ") for line in lines[5:]) \
+        == token_words(payload["face_words"])
+    lines, payload = both("pi1", path)
+    assert lines[0] == "generators: " + (" ".join(payload["generators"]) or "(none)")
+    assert lines[1:] == [f"relator: {rel}" for rel in payload["relators"]]
+    assert both("validate", path) == (["ok"], {"ok": True, "issues": []})
+    broken = json.loads(serialize_graph(ribbon_map))
+    if broken["edges"]:
+        broken["vertices"][0]["rotation"].pop()
+        path = str(folder / "broken.json")
+        pathlib.Path(path).write_text(json.dumps(broken))
+        lines, payload = both("validate", path, expect=1)
+        assert payload["ok"] is False
+        assert lines == [f"{i['code']}: {i['message']}" for i in payload["issues"]]
 
 
 @settings(max_examples=40, deadline=None)

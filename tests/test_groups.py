@@ -396,6 +396,20 @@ def test_bad_vertex_arguments_are_precondition_errors():
             call()
 
 
+def test_out_of_range_darts_are_precondition_errors():
+    m = petal(1)
+    loop = DiscretePath((0,))
+    for dart in (99, -1):
+        bad = DiscretePath((dart,))
+        for call in (lambda: path_endpoints(m, bad),
+                     lambda: path_endpoints(m, DiscretePath((0, dart))),
+                     lambda: homotopic(m, bad, loop),
+                     lambda: homotopic(m, loop, bad)):
+            with pytest.raises(PreconditionError,
+                               match=f"dart {dart} out of range for 2 edges"):
+                call()
+
+
 def test_homotopic_loops_on_torus():
     m = petal(1)
     a = DiscretePath((m.dart_index(("a", 1)),))

@@ -58,11 +58,14 @@ generator_labels = st.one_of(st.sampled_from("ABCabc"),
         st.tuples(st.sampled_from(names), st.sampled_from([1, -1]))))))
 def test_format_word_round_trips_over_generators(case):
     names, word = case
-    text = format_word(word)
-    # A whole text that names a generator reads as that generator, which the
-    # compact form of a different word can spell ("A" for a', "ab" for a b).
-    expected = ((text, 1),) if text in names else tuple(word)
-    assert parse_word(text, generators=names) == expected
+    assert parse_word(format_word(word, names), generators=names) == tuple(word)
+
+
+def test_format_word_spaces_a_compact_text_that_names_a_generator():
+    assert format_word([("a", -1)], ("a", "A")) == "a'"
+    assert format_word([("a", 1), ("b", 1)], ("a", "b", "ab")) == "a b"
+    assert format_word([("a", -1)]) == "A"
+    assert format_word([("a", 1), ("b", 1)], ("a", "b")) == "ab"
 
 
 def test_malformed_words_rejected():
