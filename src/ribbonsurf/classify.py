@@ -148,19 +148,21 @@ class ClassificationResult:
 class _Form:
     """A map under surgery, frozen into a RibbonMap once.  Dart ids never
     change: a removed dart is marked ``dead``, and its ``sigma`` entry still
-    leads on to the first surviving dart after it.  ``inv`` is sigma's
+    leads on to the first surviving dart after it.  ``edge_ids`` maps every
+    label ever used, removed edges' too, to its edge id.  ``inv`` is sigma's
     inverse and ``order`` lists the live edge ids in edge order.  ``where``
     keys each dart's face (by its smallest dart, until a delete merges
     faces), ``flen`` maps face keys to lengths and ``fkeys`` lists them
     sorted.  ``vert`` names each dart's star by one of its darts; ``starts``
     holds each star's smallest dart in edge order, in that order."""
 
-    __slots__ = ("labels", "order", "sigma", "inv", "dead", "where", "flen",
-                 "fkeys", "vert", "starts")
+    __slots__ = ("labels", "edge_ids", "order", "sigma", "inv", "dead", "where",
+                 "flen", "fkeys", "vert", "starts")
 
     def __init__(self, ribbon_map: RibbonMap):
         n = ribbon_map.num_darts
         self.labels = list(ribbon_map.edge_labels)
+        self.edge_ids = {label: k for k, label in enumerate(self.labels)}
         self.order = list(range(ribbon_map.num_edges))
         self.sigma = list(ribbon_map.sigma)
         self.inv = [0] * n
@@ -202,7 +204,7 @@ class _Form:
         raise InternalInvariantViolation(f"walk from dart {d} does not close")
 
     def edge(self, label: str) -> int:
-        k = self.labels.index(label) if label in self.labels else -1
+        k = self.edge_ids.get(label, -1)
         if k < 0 or self.dead[2 * k]:
             raise UnknownLabelError(f"unknown edge label {label!r}")
         return k
@@ -294,6 +296,7 @@ class _Form:
     def _grow(self, label: str, where: tuple, vert: tuple) -> int:
         """Append an edge, its darts fixed by sigma until placed; returns 2m."""
         new = len(self.sigma)
+        self.edge_ids[label] = len(self.labels)
         self.labels.append(label)
         self.order.append(new >> 1)
         self.sigma += (new, new + 1)
@@ -309,7 +312,7 @@ class _Form:
         the two arcs of the old face, each closed by one side of the chord."""
         if not 0 <= f < len(self.fkeys):
             raise PreconditionError(f"face {f} out of range")
-        if label in self.labels:
+        if label in self.edge_ids:
             raise PreconditionError(f"label {label!r} already in use")
         key = self.fkeys[f]
         face = self._cycle(key, 1) if self.order else []
@@ -342,7 +345,7 @@ class _Form:
         through the cut corners, which must gain the new darts and no more."""
         if not 0 <= v < max(1, len(self.starts)):
             raise PreconditionError(f"vertex {v} out of range")
-        if label in self.labels:
+        if label in self.edge_ids:
             raise PreconditionError(f"label {label!r} already in use")
         star = self._cycle(self.starts[v]) if self.order else []
         if not star:

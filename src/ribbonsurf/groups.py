@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedPresentationError,
 )
 from .maps import RibbonMap
-from .surfaces import standard_pair_labels, trace_faces
+from .surfaces import genus, standard_pair_labels, trace_faces
 
 Letter = Tuple[str, int]
 
@@ -396,14 +396,19 @@ def homotopic(ribbon_map: RibbonMap, p1: DiscretePath, p2: DiscretePath,
               base: int = 0) -> bool:
     """Are two walks with the same endpoints homotopic on the surface?
 
-    The composite p1 . p2^-1 is a loop; it is projected through the
-    spanning tree of ``base`` and decided in the resulting presentation.
+    On the sphere every loop is trivial.  Otherwise the composite
+    p1 . p2^-1 is a loop; it is projected through the spanning tree of
+    ``base`` and decided in the resulting presentation.
     """
     ends1 = path_endpoints(ribbon_map, p1)
     ends2 = path_endpoints(ribbon_map, p2)
     if ends1 != ends2:
         raise EndpointMismatchError(
             f"paths run {ends1[0]}->{ends1[1]} and {ends2[0]}->{ends2[1]}")
+    if not 0 <= base < ribbon_map.num_vertices:
+        raise PreconditionError(f"vertex {base} out of range")
+    if genus(ribbon_map) == 0:
+        return True
     pres = pi1_presentation(ribbon_map, base)
     tree = set(ribbon_map.edge_labels) - set(pres.generators)
     word = (path_word(ribbon_map, p1, tree)

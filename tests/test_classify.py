@@ -723,6 +723,35 @@ def test_moves_edit_darts_without_tokens(monkeypatch):
     assert word_to_map(polygon_word(reduced)).num_edges == reduced.num_edges
 
 
+def test_moves_find_labels_without_scanning(monkeypatch):
+    # Labels are found through the form's dict: a scan of the label list on
+    # every move made the generator and replay quadratic in the edges.
+    class Unscannable(list):
+        def __contains__(self, label):
+            raise AssertionError("label list scanned")
+
+        def index(self, *args):
+            raise AssertionError("label list scanned")
+
+    init = classify_module._Form.__init__
+
+    def unscannable(form, ribbon_map):
+        init(form, ribbon_map)
+        form.labels = Unscannable(form.labels)
+
+    monkeypatch.setattr(classify_module._Form, "__init__", unscannable)
+    m = random_filling_map(2, 30, 7)
+    reduced, trace = reduce_to_one_vertex_one_face(m)
+    assert reduced.num_vertices == 1 and len(trace) == 30
+    result = classify(m)
+    assert replay(m, result.trace) == result.canonical_word
+    form = classify_module._Form(petal(1))
+    form.insert("x", 0, 0, 2)
+    assert form.edge("x") == 2
+    with pytest.raises(PreconditionError, match="^label 'x' already in use$"):
+        form.split("x", 0, 0, 1)
+
+
 def test_random_filling_map_deterministic():
     a = random_filling_map(2, 10, 42)
     b = random_filling_map(2, 10, 42)

@@ -26,6 +26,7 @@ from ribbonsurf import (
     path_endpoints,
     petal,
     pi1_presentation,
+    random_filling_map,
     solver_kind,
     spanning_tree,
     surface_group,
@@ -456,14 +457,11 @@ def test_homotopic_endpoint_mismatch():
 
 def test_homotopic_free_reduction_before_dispatch():
     # identical paths succeed even where the presentation has no solver
-    theta = from_rotation_lists(
-        ["e1", "e2", "e3"],
-        [["e1+", "e2+", "e3+"], ["e1-", "e3-", "e2-"]])
-    p = DiscretePath((theta.dart_index(("e1", 1)), theta.dart_index(("e2", -1))))
-    assert homotopic(theta, p, p)
-    q = DiscretePath((theta.dart_index(("e1", 1)), theta.dart_index(("e3", -1))))
+    m = random_filling_map(1, 5, 1)
+    p = DiscretePath((m.dart_index(("a", 1)), m.dart_index(("e3", -1))))
+    assert homotopic(m, p, p)
     with pytest.raises(UnsupportedPresentationError):
-        homotopic(theta, p, q)
+        homotopic(m, p, DiscretePath((), start=0))
 
 
 def test_homotopic_on_tree_is_always_true():

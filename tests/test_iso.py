@@ -10,10 +10,13 @@ from ribbonsurf import (
     are_isomorphic,
     canonical_encoding,
     from_rotation_lists,
+    parse_word,
     petal,
     random_filling_map,
     refine,
     relabeled,
+    trace_faces,
+    word_to_map,
 )
 from ribbonsurf import iso
 from ribbonsurf.cli import CommandResult, dispatch
@@ -37,6 +40,31 @@ def all_roots_encoding(m):
         iota_new = [order[d ^ 1] for d in queue]
         images.append(b"".join(v.to_bytes(4, "big") for v in sigma_new + iota_new))
     return min(images)
+
+
+def first_root_witness(a, b):
+    """Reference witness: a screen on sizes, star lengths and face lengths,
+    then each of b's darts in turn as the image of dart 0; the mapping of the
+    first match, () for two edgeless maps, or None."""
+    if a.num_edges != b.num_edges or a.num_vertices != b.num_vertices:
+        return None
+    if a.num_edges == 0:
+        return ()
+    if sorted(len(a.star(v)) for v in range(a.num_vertices)) != \
+       sorted(len(b.star(v)) for v in range(b.num_vertices)):
+        return None
+    if sorted(map(len, trace_faces(a))) != sorted(map(len, trace_faces(b))):
+        return None
+    for root in range(b.num_darts):
+        fwd = iso._match_from(a, b, root)
+        if fwd is not None:
+            return tuple(fwd)
+    return None
+
+
+def witness(a, b):
+    bijection = are_isomorphic(a, b)
+    return None if bijection is None else bijection.mapping
 
 
 def test_relabeled_copies_are_isomorphic():
@@ -128,6 +156,59 @@ def test_encoding_matches_all_roots_reference():
         assert canonical_encoding(m) == all_roots_encoding(m)
 
 
+def test_witness_matches_first_root_reference():
+    # The witness sends dart 0 to the smallest dart of b that any
+    # isomorphism reaches: the root the reference finds first.
+    rng = random.Random(43)
+    maps = [m for _, m in corpus(30, seed=47)]
+    for g in range(1, 9):
+        maps += [petal(g), refine(petal(g)), refine(refine(petal(g)))]
+    maps += [scramble(m, rng) for m in maps]
+    for i, a in enumerate(maps):
+        for b in (a, scramble(a, rng), maps[i - 1]):
+            assert witness(a, b) == first_root_witness(a, b)
+
+
+class CountedSigma(tuple):
+    """A rotation that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_encoding_work_grows_linearly_on_symmetric_maps():
+    # Many roots of a petal tie the best image to the end, which made the
+    # reads grow 4x per doubling; orbit pruning searches about two of them.
+    for build in (petal, lambda g: refine(petal(g))):
+        reads = []
+        for g in (50, 100, 200):
+            m = build(g)
+            m.sigma = CountedSigma(m.sigma)
+            canonical_encoding(m)
+            reads.append(m.sigma.reads)
+        assert reads[1] <= 2.2 * reads[0] and reads[2] <= 2.2 * reads[1], reads
+
+
+def test_one_match_per_isomorphism_test(monkeypatch):
+    # petal(100) shares its sizes, star and face with the one-face map
+    # x1 ... x200 x1' ... x200', so a screen cannot tell them apart.
+    calls = []
+    match = iso._match_from
+    monkeypatch.setattr(iso, "_match_from",
+                        lambda a, b, root: calls.append(root) or match(a, b, root))
+    names = [f"x{i}" for i in range(1, 201)]
+    one_face = word_to_map(parse_word(" ".join(names + [x + "'" for x in names])))
+    m = petal(100)
+    for b, isomorphic in ((one_face, False), (m, True),
+                          (scramble(m, random.Random(3)), True)):
+        calls.clear()
+        assert (are_isomorphic(m, b) is not None) == isomorphic
+        assert len(calls) == isomorphic
+
+
 def test_pinned_encodings():
     interleaved = from_rotation_lists(["a", "b"], [["a+", "b+", "a-", "b-"]])
     nested = from_rotation_lists(["a", "b"], [["a+", "a-", "b+", "b-"]])
@@ -165,3 +246,4 @@ def test_encoding_equality_iff_isomorphic(g, moves, seed1, seed2, copy, rng):
     assert m1.num_edges == m2.num_edges
     same = canonical_encoding(m1) == canonical_encoding(m2)
     assert same == (are_isomorphic(m1, m2) is not None)
+    assert witness(m1, m2) == first_root_witness(m1, m2)
