@@ -12,19 +12,17 @@ has zero exponent sum in each generator.  The key is exact for free groups
 and Z x Z; for genus >= 2 words sharing a key are compared by Dehn's
 algorithm (u = v iff u v' is trivial).
 
-The growth loop runs radius + 1 rounds and records every forward step that
-lands inside the ball as an edge; its last round adds no element and steps
-forward letters only.  Every word the growth and cell loops look up is one
-letter away from a freely reduced word whose key is known, so each is made
-by one solver step: the letter cancels the last one or is appended, and the
-key is carried from the parent's (the new word itself, or one exponent sum
-moved by one).  Only the Dehn comparisons of genus >= 2 read whole words.
+Zero exponent sums make every relator even, so length parity is a
+homomorphism and each edge joins two consecutive spheres.  The growth runs
+radius rounds and fills one table, nbr[u][j] = u * alphabet[j]: a sphere
+element makes one solver step (key carried from the parent's) per letter
+whose entry is unknown, setting that entry and its inverse.  So each edge is
+stepped once, from its inner end; edges and cells are read from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InternalInvariantViolation, PreconditionError
 from .groups import Presentation, Solver
@@ -56,43 +54,44 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
     solver = Solver(pres)
     words, keys = [()], [solver.identity_key]
     by_key = {keys[0]: [0]}
-
-    def find(word: tuple, key) -> Optional[int]:
-        for vi in by_key.get(key, ()):
-            if solver.same(word, words[vi]):
-                return vi
-        return None
-
-    forward = [(g, 1) for g in pres.generators]
-    alphabet = forward + [(g, -1) for g in pres.generators]
-    edges, start = [], 0
-    for depth in range(radius + 1):
-        stop = len(words)
-        grow = depth < radius
-        for ui, base, base_key in zip(range(start, stop), words[start:], keys[start:]):
-            for letter in alphabet if grow else forward:
-                word, key = solver.step(base, base_key, letter)
-                vi = find(word, key)
-                if vi is None and grow:
+    k = len(pres.generators)
+    alphabet = [(g, 1) for g in pres.generators] + [(g, -1) for g in pres.generators]
+    nbr = [[None] * (2 * k)]
+    sphere = range(1)
+    for _ in range(radius):
+        for ui in sphere:
+            for j, letter in enumerate(alphabet):
+                if nbr[ui][j] is not None:
+                    continue
+                word, key = solver.step(words[ui], keys[ui], letter)
+                for vi in by_key.setdefault(key, []):
+                    if solver.same(word, words[vi]):
+                        break
+                else:
                     vi = len(words)
-                    by_key.setdefault(key, []).append(vi)
+                    by_key[key].append(vi)
                     words.append(word)
                     keys.append(key)
-                if vi is not None and letter[1] > 0:
-                    edges.append((ui, letter[0], vi))
-        start = stop
+                    nbr.append([None] * (2 * k))
+                nbr[ui][j] = vi
+                nbr[vi][j - k] = ui  # index j - k is letter (j + k) % 2k
+        sphere = range(sphere.stop, len(words))
 
+    edges = [(ui, g, vi) for ui, row in enumerate(nbr)
+             for g, vi in zip(pres.generators, row) if vi is not None]
+    code = {letter: j for j, letter in enumerate(alphabet)}
+    relators = [[code[letter] for letter in relator] for relator in pres.relators]
     cells = []
-    for base_index, (base, base_key) in enumerate(zip(words, keys)):
-        for rj, relator in enumerate(pres.relators):
-            cycle, word, key = [base_index], base, base_key
-            for letter in relator[:-1]:
-                word, key = solver.step(word, key, letter)
-                cycle.append(find(word, key))
-                if cycle[-1] is None:
+    for base_index in range(len(words)):
+        for rj, relator in enumerate(relators):
+            cycle, vi = [base_index], base_index
+            for j in relator[:-1]:
+                vi = nbr[vi][j]
+                if vi is None:
                     break
+                cycle.append(vi)
             else:
-                if find(*solver.step(word, key, relator[-1])) != base_index:
+                if nbr[vi][relator[-1]] != base_index:
                     raise InternalInvariantViolation(  # pragma: no cover
                         "relator loop did not close")
                 cells.append((base_index, rj, tuple(cycle)))

@@ -373,3 +373,7 @@ def main() -> None:
         print(result.output, end="" if result.output.endswith("\n") else "\n",
               file=stream)
     sys.exit(result.exit_code)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import sys
 
 import pytest
 
@@ -114,6 +116,64 @@ def pairwise_ball(pres, radius):
     return tuple(words), tuple(edges), tuple(cells)
 
 
+@pytest.fixture(autouse=True)
+def edges_join_consecutive_spheres(monkeypatch):
+    """Every ball a test here grows has each edge join words whose lengths
+    differ by one: the parity argument that lets the growth skip stepping
+    its outermost sphere."""
+    grow = cayley_ball
+
+    def checked(pres, radius):
+        ball = grow(pres, radius)
+        lengths = [len(word) for word in ball.vertices]
+        assert all(abs(lengths[u] - lengths[v]) == 1 for u, _, v in ball.edges)
+        return ball
+
+    monkeypatch.setattr(sys.modules[__name__], "cayley_ball", checked)
+
+
+def surface_sphere_sizes(genus, radius):
+    """Sphere sizes up to ``radius`` of the genus-g surface group on its
+    standard generators, from its growth series N(z) / D(z) with
+    N = 1 + 2z + ... + 2z^(2g-1) + z^(2g) and
+    D = 1 - (4g-2)(z + ... + z^(2g-1)) + z^(2g)
+    (Cannon; Floyd and Plotnick, "Growth functions on Fuchsian groups and
+    the Euler characteristic", 1987)."""
+    num = [1] + [2] * (2 * genus - 1) + [1]
+    den = [1] + [2 - 4 * genus] * (2 * genus - 1) + [1]
+    sizes = []
+    for n in range(radius + 1):
+        lower = sum(den[i] * sizes[n - i] for i in range(1, min(n, 2 * genus) + 1))
+        sizes.append((num[n] if n < len(num) else 0) - lower)
+    return sizes
+
+
+@pytest.mark.parametrize("genus, sizes", [(2, [1, 9, 65, 457, 3193]),
+                                          (3, [1, 13, 145, 1597])],
+                         ids=["surface2", "surface3"])
+def test_surface_balls_follow_the_growth_series(genus, sizes):
+    spheres = surface_sphere_sizes(genus, len(sizes) - 1)
+    assert list(itertools.accumulate(spheres)) == sizes
+    for r, size in enumerate(sizes):
+        assert cayley_ball(surface_group(genus), r).num_vertices == size
+
+
+def test_genus2_radius4_cells():
+    # The first radius at which a genus-2 cell closes: the eight octagons
+    # around the identity, each checked letter by letter by Dehn's algorithm.
+    pres = surface_group(2)
+    ball = cayley_ball(pres, 4)
+    relator = pres.relators[0]
+    assert len(ball.cells) == 8
+    assert len({frozenset(cycle) for _, _, cycle in ball.cells}) == 8
+    for base, rj, cycle in ball.cells:
+        assert rj == 0 and cycle[0] == base and 0 in cycle
+        assert len(set(cycle)) == len(relator)
+        for i, letter in enumerate(relator):
+            u, v = ball.vertices[cycle[i]], ball.vertices[cycle[(i + 1) % len(cycle)]]
+            assert is_trivial_word(u + (letter,) + invert_word(v), pres)
+
+
 @pytest.mark.parametrize("pres, radii", [
     (free_presentation(1), range(5)),
     (free_presentation(2), range(4)),
@@ -177,22 +237,21 @@ def test_balls_never_reduce_or_sum_whole_words(monkeypatch, pres, radius, size):
 
 
 @pytest.mark.parametrize("pres, radius, steps", [
-    (free_presentation(2), 3, 4 * 17 + 2 * 36),
-    (zxz_presentation(), 5, 400),
-    (surface_group(2), 2, 389),
-], ids=["free2", "zxz", "surface2"])
+    (free_presentation(2), 3, 52),
+    (zxz_presentation(), 5, 100),
+    (surface_group(2), 2, 64),
+    (surface_group(100), 1, 400),
+], ids=["free2", "zxz", "surface2", "surface100"])
 def test_edges_come_from_the_growth_steps(monkeypatch, pres, radius, steps):
-    # Rounds 0..r-1 step every letter from each element of their sphere and
-    # round r steps forward letters only, recording the edges as it goes;
-    # no separate pass steps the forward letters again.  free:2 at r = 3
-    # steps 17 inner elements by 4 letters and 36 outer ones by 2; the zxz
-    # and surface:2 counts include the steps of the cell loop.
+    # Every edge joins two consecutive spheres, so the growth steps each
+    # edge once, from its inner end, and reads edges and cells from its
+    # table: the outermost sphere and the cell loop step nothing.
     calls = []
     step = Solver.step
     monkeypatch.setattr(Solver, "step",
                         lambda self, *args: calls.append(1) or step(self, *args))
-    cayley_ball(pres, radius)
-    assert len(calls) == steps
+    ball = cayley_ball(pres, radius)
+    assert len(calls) == len(ball.edges) == steps
 
 
 @pytest.mark.parametrize("pres, radius, digest", [

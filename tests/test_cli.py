@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,9 +410,11 @@ def test_homotopic_words_are_capped_before_the_map_is_read(monkeypatch, tmp_path
 
 def test_largest_balls_are_served():
     # The costliest requests under the ball cap, built for real: 2r + 1,
-    # 2r^2 + 2r + 1 and 1 + 4(3^r - 1)/2 elements.
+    # 2r^2 + 2r + 1 and 1 + 4(3^r - 1)/2 elements, then the largest served
+    # surface balls (sizes from the growth series; see test_cayley).
     for group, r, size in [("free:1", 999, 1999), ("zxz", 31, 1985),
-                           ("free:2", 6, 1457)]:
+                           ("free:2", 6, 1457), ("surface:2", 3, 457),
+                           ("surface:3", 3, 1597), ("surface:100", 1, 401)]:
         assert run("cayley", "--group", group, "--radius", str(r)).startswith(
             f"vertices: {size}\n")
 
@@ -423,6 +428,18 @@ def test_largest_classify_is_served(tmp_path):
                         "--moves", str(edges // 2), "--seed", "1"))
     assert f"\nedges: {edges}\n" in run("report", str(path))
     assert run("classify", str(path)).startswith(f"genus: {edges // 4}\n")
+
+
+def test_module_runs_as_a_script():
+    # python -m ribbonsurf.cli runs main(), as the installed script does.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ribbonsurf.cli", "petal", "1"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.rstrip("\n") == run("petal", "1").rstrip("\n")
+    assert json.loads(done.stdout)["name"] == "petal_1"
 
 
 def test_stdin_input(monkeypatch, capsys):
