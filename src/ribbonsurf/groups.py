@@ -311,16 +311,17 @@ def spanning_tree(ribbon_map: RibbonMap, base: int = 0) -> set:
     """
     if not 0 <= base < ribbon_map.num_vertices:
         raise PreconditionError(f"vertex {base} out of range")
+    labels, vertex_of = ribbon_map.edge_labels, ribbon_map._vertex_of
     seen = {base}
     tree = set()
     queue = deque([base])
     while queue:
         u = queue.popleft()
         for d in ribbon_map.star(u):
-            head = ribbon_map.vertex_of(d ^ 1)
+            head = vertex_of[d ^ 1]
             if head not in seen:
                 seen.add(head)
-                tree.add(ribbon_map.edge_of(d))
+                tree.add(labels[d >> 1])
                 queue.append(head)
     if len(seen) != ribbon_map.num_vertices:
         raise PreconditionError("map is not connected")  # pragma: no cover
@@ -339,11 +340,12 @@ def pi1_presentation(ribbon_map: RibbonMap, base: int = 0) -> Presentation:
             raise PreconditionError(f"vertex {base} out of range")
         return Presentation((), ())
     tree = spanning_tree(ribbon_map, base)
-    gens = tuple(lab for lab in ribbon_map.edge_labels if lab not in tree)
+    labels = ribbon_map.edge_labels
+    gens = tuple(lab for lab in labels if lab not in tree)
     relators = []
     for face in trace_faces(ribbon_map):
-        word = [(ribbon_map.edge_of(d), -1 if d & 1 else 1)
-                for d in face.darts if ribbon_map.edge_of(d) not in tree]
+        word = [(labels[d >> 1], -1 if d & 1 else 1)
+                for d in face.darts if labels[d >> 1] not in tree]
         relators.append(cyclic_reduce(word))
     return Presentation(gens, tuple(relators))
 
@@ -375,21 +377,24 @@ def path_endpoints(ribbon_map: RibbonMap, path: DiscretePath) -> tuple:
         if not 0 <= d < ribbon_map.num_darts:
             raise PreconditionError(
                 f"dart {d} out of range for {ribbon_map.num_edges} edges")
-    tail = ribbon_map.vertex_of(path.darts[0])
+    vertex_of = ribbon_map._vertex_of
+    tail = vertex_of[path.darts[0]]
     if path.start is not None and path.start != tail:
         raise PreconditionError("start does not match the first dart")
     at = tail
     for d in path.darts:
-        if ribbon_map.vertex_of(d) != at:
+        if vertex_of[d] != at:
             raise PreconditionError("darts do not chain tail to head")
-        at = ribbon_map.vertex_of(d ^ 1)
+        at = vertex_of[d ^ 1]
     return tail, at
 
 
 def path_word(ribbon_map: RibbonMap, path: DiscretePath,
               drop: set = frozenset()) -> tuple:
-    return tuple((ribbon_map.edge_of(d), -1 if d & 1 else 1)
-                 for d in path.darts if ribbon_map.edge_of(d) not in drop)
+    """Letters of a walk that path_endpoints checked, ``drop`` edges erased."""
+    labels = ribbon_map.edge_labels
+    return tuple((labels[d >> 1], -1 if d & 1 else 1)
+                 for d in path.darts if labels[d >> 1] not in drop)
 
 
 def homotopic(ribbon_map: RibbonMap, p1: DiscretePath, p2: DiscretePath,

@@ -4,7 +4,8 @@ A graph document is JSON: {"edges": [labels], "vertices": [{"rotation":
 [tokens]}], "name": optional, "comment": optional}.  Dart tokens are
 "<label>+" / "<label>-".  Canonical serialization fixes that key order,
 2-space indentation and a trailing newline, so serialize(parse(x)) is byte
-stable.
+stable.  Reading a document goes through ``maps.from_rotation_lists``, which
+checks it; writing one and DOT output read the map's own token table.
 
 Words over generators are written either compactly -- one letter per
 generator, uppercase meaning the inverse ("abAB") -- or as space-separated
@@ -123,17 +124,6 @@ def parse_document(text: str) -> GraphDocument:
                          name=data.get("name"), comment=data.get("comment"))
 
 
-def document_to_map(doc: GraphDocument) -> RibbonMap:
-    return from_rotation_lists(doc.edges, doc.rotations)
-
-
-def map_to_document(ribbon_map: RibbonMap, name: Optional[str] = None,
-                    comment: Optional[str] = None) -> GraphDocument:
-    rotations = tuple(tuple(row) for row in ribbon_map.rotation_tokens())
-    return GraphDocument(edges=ribbon_map.edge_labels, rotations=rotations,
-                         name=name, comment=comment)
-
-
 def serialize_document(doc: GraphDocument) -> str:
     data = {
         "edges": list(doc.edges),
@@ -148,11 +138,13 @@ def serialize_document(doc: GraphDocument) -> str:
 
 def parse_graph(text: str) -> RibbonMap:
     """Text of a graph document -> validated map."""
-    return document_to_map(parse_document(text))
+    doc = parse_document(text)
+    return from_rotation_lists(doc.edges, doc.rotations)
 
 
 def serialize_graph(ribbon_map: RibbonMap, name: Optional[str] = None) -> str:
-    return serialize_document(map_to_document(ribbon_map, name=name))
+    rotations = tuple(map(tuple, ribbon_map.rotation_tokens()))
+    return serialize_document(GraphDocument(ribbon_map.edge_labels, rotations, name))
 
 
 # -- DOT ----------------------------------------------------------------------
@@ -160,14 +152,14 @@ def serialize_graph(ribbon_map: RibbonMap, name: Optional[str] = None) -> str:
 
 def map_to_dot(ribbon_map: RibbonMap, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
+    tokens, vertex_of = ribbon_map._tokens(), ribbon_map._vertex_of
     for face in trace_faces(ribbon_map):
-        word = " ".join(ribbon_map.dart_ref(d).token() for d in face.darts)
+        word = " ".join(tokens[d] for d in face.darts)
         lines.append(f"  // face: {word}" if word else "  // face: (empty)")
     for v in range(ribbon_map.num_vertices):
         lines.append(f"  v{v};")
     for k, lab in enumerate(ribbon_map.edge_labels):
-        u = ribbon_map.vertex_of(2 * k)
-        w = ribbon_map.vertex_of(2 * k + 1)
+        u, w = vertex_of[2 * k], vertex_of[2 * k + 1]
         lines.append(f'  v{u} -- v{w} [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,17 +15,17 @@ isomorphism, II", 2014).  An automorphism is fixed by one dart's image, so
 those found reach the whole orbit of the best root and the names are orbits.
 Maps are isomorphic exactly when their images are equal; the witness sends
 dart 0 to the orbit name of its image under the paired BFS orders, the
-smallest dart of b that any isomorphism reaches.
+smallest dart of b that any isomorphism reaches, and pairs the order
+``maps._bfs_order`` reads from dart 0 of a with the one from that root of b.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EmptyMapError, InternalInvariantViolation
-from .maps import RibbonMap
+from .maps import RibbonMap, _bfs_order
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _least_image(ribbon_map: RibbonMap) -> tuple:
 
     order = [-1] * n
     best = best_order = None
-    stars = [ribbon_map.star(v) for v in range(ribbon_map.num_vertices)]
+    stars = ribbon_map._stars
     low = min(map(len, stars))
     roots = range(n) if low > 2 else sorted(d for star in stars if len(star) == low
                                             for d in star)
@@ -105,24 +105,13 @@ def canonical_encoding(ribbon_map: RibbonMap) -> bytes:
     return b"".join(v.to_bytes(4, "big") for v in sigma_seq + iota_seq)
 
 
-def _match_from(a: RibbonMap, b: RibbonMap, root: int) -> Optional[list]:
-    """Propagate dart 0 -> root through sigma and iota; None on conflict."""
-    n = a.num_darts
-    fwd = [-1] * n
-    back = [-1] * n
-    fwd[0] = root
-    back[root] = 0
-    queue = deque([0])
-    while queue:
-        d = queue.popleft()
-        e = fwd[d]
-        for nd, ne in ((a.sigma[d], b.sigma[e]), (d ^ 1, e ^ 1)):
-            if fwd[nd] < 0 and back[ne] < 0:
-                fwd[nd] = ne
-                back[ne] = nd
-                queue.append(nd)
-            elif fwd[nd] != ne:
-                return None
+def _match_from(a: RibbonMap, b: RibbonMap, root: int) -> list:
+    """Pair the BFS order of a from dart 0 with that of b from ``root``.  An
+    isomorphism commutes with sigma and iota, so it carries the first order
+    onto the second: when one sends 0 to root, this is it."""
+    fwd = [-1] * a.num_darts
+    for d, e in zip(_bfs_order(a.sigma), _bfs_order(b.sigma, root)):
+        fwd[d] = e
     return fwd
 
 
@@ -138,7 +127,7 @@ def are_isomorphic(a: RibbonMap, b: RibbonMap) -> Optional[DartBijection]:
     if image_a != image_b:
         return None
     root = orbit_b[order_b[order_a.index(0)]]
-    bijection = DartBijection(tuple(_match_from(a, b, root) or ()))
+    bijection = DartBijection(tuple(_match_from(a, b, root)))
     if not bijection.commutes(a, b):
         raise InternalInvariantViolation(f"match to root {root} does not commute")
     return bijection

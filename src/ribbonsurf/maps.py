@@ -9,7 +9,11 @@ map is connected: the group generated by sigma and iota acts transitively on
 darts.  The edgeless map is the single exception and stands for the sphere
 with one vertex.  One orbit walk, ``_orbits``, reads the stars
 here, the faces in ``surfaces`` and the corner classes of a glued polygon
-in ``classify``.
+in ``classify``.  One breadth-first walk, ``_bfs_order``, answers
+reachability: both connectivity checks here and the isomorphism witness in
+``iso``.  Library code indexes a map's arrays (``sigma``, ``edge_labels``,
+``_vertex_of``, ``_stars``, ``_tokens()``) for darts it got from that map;
+the checked accessors serve callers outside.
 """
 
 from __future__ import annotations
@@ -172,8 +176,12 @@ class RibbonMap:
 
     def rotation_tokens(self) -> list:
         """Rotations as token-string lists, in canonical vertex order."""
-        return [[self.dart_ref(d).token() for d in star]
-                for star in self._stars] or [[]]
+        tokens = self._tokens()
+        return [[tokens[d] for d in star] for star in self._stars] or [[]]
+
+    def _tokens(self) -> list:
+        """Every dart's token, indexed by dart."""
+        return [lab + side for lab in self.edge_labels for side in "+-"]
 
     # -- equality ---------------------------------------------------------
 
@@ -181,7 +189,7 @@ class RibbonMap:
         """(dart token, next token around its vertex) for every dart: the
         labelled star structure, independent of edge declaration order,
         vertex order, and the phase each rotation list was written at."""
-        tokens = [lab + side for lab in self.edge_labels for side in "+-"]
+        tokens = self._tokens()
         return frozenset(zip(tokens, [tokens[d] for d in self.sigma]))
 
     def __eq__(self, other):
@@ -223,20 +231,18 @@ def _orbits(perm: Sequence[int], flip: int = 0):
     return orbits, orbit_of
 
 
-def _reached(sigma: Sequence[int]) -> int:
-    """How many darts the group <sigma, iota> reaches from dart 0."""
+def _bfs_order(sigma: Sequence[int], root: int = 0) -> list:
+    """The darts the group <sigma, iota> reaches from ``root``, breadth
+    first: each dart discovers sigma(d), then d ^ 1."""
     seen = [False] * len(sigma)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        d = stack.pop()
+    seen[root] = True
+    order = [root]
+    for d in order:
         for nxt in (sigma[d], d ^ 1):
             if not seen[nxt]:
                 seen[nxt] = True
-                count += 1
-                stack.append(nxt)
-    return count
+                order.append(nxt)
+    return order
 
 
 def _parse_rotation_lists(edge_labels: Sequence[str],
@@ -306,7 +312,7 @@ def _parse_rotation_lists(edge_labels: Sequence[str],
     for row in parsed:
         for i, dart in enumerate(row):
             sigma[dart] = row[(i + 1) % len(row)]
-    count = _reached(sigma)
+    count = len(_bfs_order(sigma))
     if count != n:
         report.add("Disconnected",
                    f"map splits into components ({count} of {n} darts reached)")
@@ -357,7 +363,7 @@ def _from_dart_rows(edge_labels: Sequence[str], rows) -> RibbonMap:
             sigma[dart] = nxt
     if None in sigma:
         raise InternalInvariantViolation(f"dart {sigma.index(None)} placed in no row")
-    count = _reached(sigma)
+    count = len(_bfs_order(sigma))
     if count != n:
         raise InternalInvariantViolation(
             f"rows split into components ({count} of {n} darts reached)")

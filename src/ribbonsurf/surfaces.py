@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, PreconditionError
-from .maps import RibbonMap, _from_dart_rows, _orbits
+from .maps import DartRef, RibbonMap, _from_dart_rows, _orbits
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class Face:
         return len(self.darts)
 
     def word(self, ribbon_map: RibbonMap) -> tuple:
-        return tuple(ribbon_map.dart_ref(d) for d in self.darts)
+        labels = ribbon_map.edge_labels
+        return tuple(DartRef(labels[d >> 1], -1 if d & 1 else 1) for d in self.darts)
 
 
 @dataclass(frozen=True)

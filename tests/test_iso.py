@@ -42,6 +42,24 @@ def all_roots_encoding(m):
     return min(images)
 
 
+def propagate(a, b, root):
+    """Reference match: carry dart 0 -> root through sigma and iota, one
+    forced pair at a time; None on the first conflict."""
+    fwd = {0: root}
+    back = {root: 0}
+    queue = [0]
+    for d in queue:
+        e = fwd[d]
+        for nd, ne in ((a.sigma[d], b.sigma[e]), (d ^ 1, e ^ 1)):
+            if nd not in fwd and ne not in back:
+                fwd[nd] = ne
+                back[ne] = nd
+                queue.append(nd)
+            elif fwd.get(nd) != ne:
+                return None
+    return [fwd[d] for d in range(a.num_darts)]
+
+
 def first_root_witness(a, b):
     """Reference witness: a screen on sizes, star lengths and face lengths,
     then each of b's darts in turn as the image of dart 0; the mapping of the
@@ -56,7 +74,7 @@ def first_root_witness(a, b):
     if sorted(map(len, trace_faces(a))) != sorted(map(len, trace_faces(b))):
         return None
     for root in range(b.num_darts):
-        fwd = iso._match_from(a, b, root)
+        fwd = propagate(a, b, root)
         if fwd is not None:
             return tuple(fwd)
     return None

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,20 @@ def test_constructor_raises_matching_exceptions():
         from_rotation_lists(["a"], [["a+", "b-", "a-"]])
     with pytest.raises(DisconnectedError):
         from_rotation_lists(["a", "b"], [["a+", "a-"], ["b+", "b-"]])
+
+
+def test_connectivity_checks_count_the_darts_reached():
+    # Three one-loop components: the walk from dart 0 reaches a+ and a-.
+    labels = ("a", "b", "c")
+    message = "map splits into components (2 of 6 darts reached)"
+    rotations = [["a+", "a-"], ["b+", "b-"], ["c+", "c-"]]
+    assert validate_rotation_lists(labels, rotations).issues == [
+        ("Disconnected", message)]
+    with pytest.raises(DisconnectedError, match=rf"^{re.escape(message)}$"):
+        from_rotation_lists(labels, rotations)
+    message = "rows split into components (2 of 6 darts reached)"
+    with pytest.raises(InternalInvariantViolation, match=rf"^{re.escape(message)}$"):
+        _from_dart_rows(labels, [[0, 1], [2, 3], [4, 5]])
 
 
 def test_from_rotation_lists_parses_each_token_once(monkeypatch):
