@@ -5,12 +5,13 @@ Vertices are group elements, one directed edge u --a--> u*a per generator a
 vertex, relator) pair whose full boundary loop stays inside the ball.  The
 ball of radius r around the identity is grown breadth first; an element's
 representative is the first word that reaches it in shortlex order, hence a
-geodesic.  Elements are filed by the presentation's solver key: the
-reduced word in a free group, else the exponent-sum vector.  Words with
-different keys are different elements, because every supported relator
-has zero exponent sum in each generator.  The key is exact for free groups
-and Z x Z; for genus >= 2 words sharing a key are compared by Dehn's
-algorithm (u = v iff u v' is trivial).
+geodesic.  Elements are filed by the presentation's solver key (each
+presentation builds its solver once, on first use, and shares it with
+is_trivial_word and homotopic): the reduced word in a free group, else the
+exponent-sum vector.  Different keys are different elements, as every
+supported relator has zero exponent sum in each generator.  The key is
+exact for free groups and Z x Z; for genus >= 2 words sharing a key are
+compared by Dehn's algorithm (u = v iff u v' is trivial).
 
 Zero exponent sums make every relator even, so length parity is a
 homomorphism and each edge joins two consecutive spheres.  The growth runs
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, PreconditionError
-from .groups import Presentation, Solver
+from .groups import Presentation
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    solver = Solver(pres)
+    solver = pres._solver
     words, keys = [()], [solver.identity_key]
     by_key = {keys[0]: [0]}
     k = len(pres.generators)

@@ -68,15 +68,6 @@ class PolygonWord:
     def __hash__(self):
         return hash(self.letters)
 
-    def cyclic_eq(self, other: "PolygonWord") -> bool:
-        if len(self) != len(other):
-            return False
-        if not self.letters:
-            return True
-        doubled = other.letters + other.letters
-        return any(doubled[i:i + len(self)] == self.letters
-                   for i in range(len(other)))
-
     def tokens(self) -> list:
         return [ref.token() for ref in self.letters]
 

@@ -7,20 +7,23 @@ this is literally the genus-g surface presentation
 <a1, b1, ..., ag, bg | a1 b1 a1' b1' ... ag bg ag' bg'>.
 
 The word problem is decided on letter codes (generator i is 2i, its inverse
-2i + 1, so c ^ 1 inverts a letter), by presentation shape, chosen once by a
-Solver: free presentations by free reduction, genus 1 (the abelian a b a' b'
-relator) by counting codes, genus >= 2 by Dehn's algorithm in one pass over a
-sentinel-padded stack that also cancels free pairs: at most (1 + R/4) * n
-lookups for n letters and a relator of length R, in an O(R) table of 2R
-shifts.  It is complete by Greendlinger's lemma: the surface relator's pieces
-have one letter, so it satisfies C'(1/7), and a nonempty freely reduced
-trivial word contains more than half of a relator shift.
+2i + 1, so c ^ 1 inverts a letter), by presentation shape, chosen by a
+Solver that each presentation builds once, on first use, and keeps:
+is_trivial_word, cayley_ball and homotopic share it.  Free presentations go
+by free reduction, genus 1 (the abelian a b a' b' relator) by counting
+codes, genus >= 2 by Dehn's algorithm in one pass over a sentinel-padded
+stack that also cancels free pairs: at most (1 + R/4) * n lookups for n
+letters and a relator of length R, in an O(R) table of 2R shifts.  It is
+complete by Greendlinger's lemma: the surface relator's pieces have one
+letter, so it satisfies C'(1/7), and a nonempty freely reduced trivial word
+contains more than half of a relator shift.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -100,6 +103,11 @@ class Presentation:
         """g when the presentation is exactly the standard genus-g surface
         shape (no generators and no relators for g = 0), else None."""
         return _surface_shape_genus(self)
+
+    @cached_property
+    def _solver(self) -> "Solver":
+        """Built on first use and kept; a shape no solver fits raises again."""
+        return Solver(self)
 
 
 def _letter_names(k: int) -> list:
@@ -202,14 +210,13 @@ def _dehn_trivial(codes: list, pieces: dict, need: int, width: int) -> bool:
 
 
 class Solver:
-    """The word-problem procedure of one presentation, resolved once by
-    solver_kind (which raises for unsupported shapes).  The methods take
-    words over the generators, ``key`` and ``step`` freely reduced ones."""
+    """A presentation's word-problem procedure (its ``_solver``), picked by
+    solver_kind, which raises for other shapes.  The methods take words
+    over the generators, ``key`` and ``step`` freely reduced ones."""
 
     def __init__(self, pres: Presentation):
         self.kind = solver_kind(pres)
         self.generators = pres.generators
-        self._index = {g: i for i, g in enumerate(pres.generators)}
         self._code = {(g, s): 2 * i + (s < 0)
                       for i, g in enumerate(pres.generators) for s in (1, -1)}
         self.identity_key = () if self.kind == "free" else (0,) * len(pres.generators)
@@ -251,7 +258,7 @@ class Solver:
             word = word + (letter,)
         if self.kind == "free":
             return word, word
-        i = self._index[lab]
+        i = self._code[letter] >> 1
         return word, key[:i] + (key[i] + sign,) + key[i + 1:]
 
     def same(self, u: tuple, v: tuple) -> bool:
@@ -287,7 +294,7 @@ def is_trivial_word(word: Sequence[Letter], pres: Presentation) -> bool:
     UnsupportedPresentationError rather than guessing.
     """
     try:
-        return Solver(pres).is_trivial(word)
+        return pres._solver.is_trivial(word)
     except UnsupportedPresentationError:
         if Solver(Presentation(pres.generators, ())).is_trivial(word):
             return True

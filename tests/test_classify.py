@@ -76,8 +76,10 @@ def test_word_to_map_chi_oracle():
 
 def test_polygon_word_round_trip_through_map():
     word = polygon_word(petal(2))
-    m = word_to_map(word)
-    assert polygon_word(m).cyclic_eq(word)
+    letters = polygon_word(word_to_map(word)).letters
+    doubled = word.letters + word.letters
+    assert len(letters) == len(word) > 0
+    assert any(doubled[i:i + len(word)] == letters for i in range(len(word)))
 
 
 def test_delete_move_merges_two_faces():

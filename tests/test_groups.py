@@ -104,6 +104,25 @@ def test_cayley_ball_resolves_the_shape_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_presentation_builds_one_solver(monkeypatch):
+    calls = []
+    shape_genus = groups._surface_shape_genus
+    monkeypatch.setattr(groups, "_surface_shape_genus",
+                        lambda pres: calls.append(pres) or shape_genus(pres))
+    g2 = surface_group(2)
+    assert is_trivial_word(parse_word("abABcdCD"), g2)
+    assert not is_trivial_word(parse_word("abAB"), g2)
+    assert is_trivial_word(parse_word("aA"), g2)
+    assert cayley_ball(g2, 1).num_vertices == 9
+    assert len(calls) == 1
+    # an unsupported shape caches no solver: it is refused on every call
+    unsupported = Presentation(("a", "b"), (parse_word("aab"),))
+    for _ in range(2):
+        with pytest.raises(UnsupportedPresentationError):
+            is_trivial_word(parse_word("ab"), unsupported)
+    assert is_trivial_word(parse_word("aA"), unsupported)
+
+
 def test_trivial_words_free_group():
     free2 = free_presentation(2)
     assert is_trivial_word((), free2)
