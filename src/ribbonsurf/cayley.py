@@ -18,26 +18,33 @@ homomorphism and each edge joins two consecutive spheres.  The growth runs
 radius rounds and fills one table, nbr[u][j] = u * alphabet[j]: a sphere
 element makes one solver step (key carried from the parent's) per letter
 whose entry is unknown, setting that entry and its inverse.  So each edge is
-stepped once, from its inner end; edges and cells are read from the table.
+stepped once, from its inner end, and recorded then; cells read the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InternalInvariantViolation, PreconditionError
+from .errors import InternalInvariantViolation, PreconditionError, _Value
 from .groups import Presentation
 
 
-@dataclass(frozen=True)
-class CayleyBall:
-    """All elements within ``radius`` of the identity, identity first."""
+class CayleyBall(_Value):
+    """All elements within ``radius`` of the identity, identity first.
 
-    presentation: Presentation
-    radius: int
-    vertices: tuple  # representative words, shortlex-first-discovered
-    edges: tuple     # (source index, generator label, target index)
-    cells: tuple     # (base vertex index, relator index, boundary vertex cycle)
+    ``vertices`` are the representative words, shortlex-first-discovered;
+    ``edges`` are (source index, generator label, target index) and
+    ``cells`` (base vertex index, relator index, boundary vertex cycle).
+    """
+
+    __slots__ = ("presentation", "radius", "vertices", "edges", "cells")
+
+    def __init__(self, presentation: Presentation, radius: int,
+                 vertices: tuple, edges: tuple, cells: tuple):
+        set_field = object.__setattr__
+        set_field(self, "presentation", presentation)
+        set_field(self, "radius", radius)
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
+        set_field(self, "cells", cells)
 
     @property
     def num_vertices(self) -> int:
@@ -53,7 +60,7 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     solver = pres._solver
-    words, keys = [()], [solver.identity_key]
+    words, keys, steps = [()], [solver.identity_key], []
     by_key = {keys[0]: [0]}
     k = len(pres.generators)
     alphabet = [(g, 1) for g in pres.generators] + [(g, -1) for g in pres.generators]
@@ -76,10 +83,10 @@ def cayley_ball(pres: Presentation, radius: int) -> CayleyBall:
                     nbr.append([None] * (2 * k))
                 nbr[ui][j] = vi
                 nbr[vi][j - k] = ui  # index j - k is letter (j + k) % 2k
+                steps.append((ui, j, vi) if j < k else (vi, j - k, ui))
         sphere = range(sphere.stop, len(words))
 
-    edges = [(ui, g, vi) for ui, row in enumerate(nbr)
-             for g, vi in zip(pres.generators, row) if vi is not None]
+    edges = [(ui, pres.generators[j], vi) for ui, j, vi in sorted(steps)]
     code = {letter: j for j, letter in enumerate(alphabet)}
     relators = [[code[letter] for letter in relator] for relator in pres.relators]
     cells = []

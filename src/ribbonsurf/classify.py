@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass
 from itertools import count
 from typing import Optional, Sequence, Tuple
 
@@ -33,6 +32,7 @@ from .errors import (
     MalformedWordError,
     PreconditionError,
     UnknownLabelError,
+    _Value,
 )
 from .maps import DartRef, RibbonMap, _check_label, _from_dart_rows, _orbits
 from .surfaces import _genus_of_chi, genus, petal, trace_faces
@@ -78,23 +78,26 @@ class PolygonWord:
 # -- move records ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeleteEdge:
-    label: str
+class _LabelMove(_Value):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class ContractEdge:
-    label: str
+class DeleteEdge(_LabelMove):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cancel:
-    label: str
+class ContractEdge(_LabelMove):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CutGlue:
+class Cancel(_LabelMove):
+    __slots__ = ()
+
+
+class CutGlue(_Value):
     """Cut the polygon between two corners and reglue along an old edge.
 
     ``cut`` = (i, j) splits the current cyclic word into the arc [i, j) and
@@ -103,15 +106,22 @@ class CutGlue:
     removes it, so the word keeps its length.
     """
 
-    new_label: str
-    old_label: str
-    cut: Tuple[int, int]
-    chord_sign: int
+    __slots__ = ("new_label", "old_label", "cut", "chord_sign")
+
+    def __init__(self, new_label: str, old_label: str, cut: Tuple[int, int],
+                 chord_sign: int):
+        set_field = object.__setattr__
+        set_field(self, "new_label", new_label)
+        set_field(self, "old_label", old_label)
+        set_field(self, "cut", cut)
+        set_field(self, "chord_sign", chord_sign)
 
 
-@dataclass(frozen=True)
-class MoveTrace:
-    moves: tuple = ()
+class MoveTrace(_Value):
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: tuple = ()):
+        object.__setattr__(self, "moves", moves)
 
     def __len__(self):
         return len(self.moves)
@@ -123,14 +133,17 @@ class MoveTrace:
         return MoveTrace(self.moves + tuple(more))
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(_Value):
     """genus, the canonical polygon word (None for the sphere), and the
     full move trace that turns the input into it."""
 
-    genus: int
-    canonical_word: Optional[PolygonWord]
-    trace: MoveTrace
+    __slots__ = ("genus", "canonical_word", "trace")
+
+    def __init__(self, genus: int, canonical_word: Optional[PolygonWord],
+                 trace: MoveTrace):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "canonical_word", canonical_word)
+        object.__setattr__(self, "trace", trace)
 
 
 # -- map-level moves -------------------------------------------------------

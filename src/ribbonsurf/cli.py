@@ -6,7 +6,10 @@ answer as plain ``key: value`` lines, or with --json as one JSON object.
 Exit codes: 0 success, 1 domain error (bad input, failed validation, a
 request above a fixed size bound), 2 usage error, 3 internal error (a
 failed consistency check or any stray lookup error, an IndexError or a
-KeyError: a bug in ribbonsurf, reported as ``internal error: ...``).
+KeyError: a bug in ribbonsurf, reported as ``internal error: ...``).  A
+reader that closes the output early (``ribbonsurf ... | head -n 1``) gets
+no traceback: the rest of the answer is dropped and the exit code is the
+command's own.
 
 The size bounds are checked before any work.  `random` takes at most
 100,000 moves, and `random` and `petal` a genus of at most 10,000.  A
@@ -23,8 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as graph_io
@@ -37,7 +40,12 @@ from .classify import (
     classify,
     random_filling_map,
 )
-from .errors import InternalInvariantViolation, PreconditionError, RibbonError
+from .errors import (
+    InternalInvariantViolation,
+    PreconditionError,
+    RibbonError,
+    _Value,
+)
 from .groups import (
     DiscretePath,
     Presentation,
@@ -62,10 +70,12 @@ _MAX_BALL = 2_000
 _MAX_CLASSIFY_EDGES = 2_000
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    output: str
+class CommandResult(_Value):
+    __slots__ = ("exit_code", "output")
+
+    def __init__(self, exit_code: int, output: str):
+        object.__setattr__(self, "exit_code", exit_code)
+        object.__setattr__(self, "output", output)
 
 
 class _UsageError(Exception):
@@ -241,7 +251,8 @@ def _run_classify(args) -> CommandResult:
     return _emit(args,
                  {"genus": result.genus,
                   "canonical_word": word.tokens() if word else None,
-                  "moves": [{"move": _MOVE_NAMES[type(m)], **vars(m)}
+                  "moves": [{"move": _MOVE_NAMES[type(m)],
+                             **{f: getattr(m, f) for f in m.__match_args__}}
                             for m in result.trace]},
                  [f"genus: {result.genus}",
                   f"canonical_word: {graph_io.format_word(word) if word else 'S0'}",
@@ -370,8 +381,13 @@ def main() -> None:
     result = dispatch(sys.argv[1:])
     if result.output:
         stream = sys.stderr if result.exit_code == 2 else sys.stdout
-        print(result.output, end="" if result.output.endswith("\n") else "\n",
-              file=stream)
+        try:
+            print(result.output, end="" if result.output.endswith("\n") else "\n",
+                  file=stream, flush=True)
+        except BrokenPipeError:
+            # The reader closed the pipe: send what is left to devnull, so
+            # the flush at exit cannot fail again, and keep the exit code.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(result.exit_code)
 
 

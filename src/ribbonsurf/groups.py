@@ -22,7 +22,6 @@ contains more than half of a relator shift.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -32,6 +31,7 @@ from .errors import (
     PreconditionError,
     UnknownLabelError,
     UnsupportedPresentationError,
+    _Value,
 )
 from .maps import RibbonMap
 from .surfaces import genus, standard_pair_labels, trace_faces
@@ -76,19 +76,20 @@ def exponent_sums(word: Sequence[Letter], generators: Sequence[str]) -> tuple:
 # -- presentations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Value):
     """Generators with formal inverses, and one relator word per defining
     relation."""
 
-    generators: tuple
-    relators: tuple
+    # __dict__ holds the cached _solver, which is not a field.
+    __slots__ = ("generators", "relators", "__dict__")
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        if len(gens) != len(self.generators):
+    def __init__(self, generators: tuple, relators: tuple):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        gens = set(generators)
+        if len(gens) != len(generators):
             raise PreconditionError("duplicate generator names")
-        for rel in self.relators:
+        for rel in relators:
             for lab, sign in rel:
                 if lab not in gens:
                     raise UnknownLabelError(
@@ -360,13 +361,15 @@ def pi1_presentation(ribbon_map: RibbonMap, base: int = 0) -> Presentation:
 # -- discrete paths -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscretePath:
+class DiscretePath(_Value):
     """A walk given by darts, each ending where the next begins.  The empty
     (constant) path cannot infer a location, so it takes ``start``."""
 
-    darts: tuple = ()
-    start: Optional[int] = None
+    __slots__ = ("darts", "start")
+
+    def __init__(self, darts: tuple = (), start: Optional[int] = None):
+        object.__setattr__(self, "darts", darts)
+        object.__setattr__(self, "start", start)
 
     def __len__(self):
         return len(self.darts)

@@ -17,22 +17,25 @@ generators format_word writes the spaced form instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DocumentSyntaxError, MalformedWordError
+from .errors import DocumentSyntaxError, MalformedWordError, _Value
 from .maps import LABEL_PATTERN, RibbonMap, from_rotation_lists
 from .surfaces import trace_faces
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(_Value):
     """A parsed graph file: structure plus optional metadata."""
 
-    edges: tuple
-    rotations: tuple
-    name: Optional[str] = None
-    comment: Optional[str] = None
+    __slots__ = ("edges", "rotations", "name", "comment")
+
+    def __init__(self, edges: tuple, rotations: tuple,
+                 name: Optional[str] = None, comment: Optional[str] = None):
+        set_field = object.__setattr__
+        set_field(self, "edges", edges)
+        set_field(self, "rotations", rotations)
+        set_field(self, "name", name)
+        set_field(self, "comment", comment)
 
 
 # -- word grammar ------------------------------------------------------------

@@ -21,18 +21,19 @@ smallest dart of b that any isomorphism reaches, and pairs the order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptyMapError, InternalInvariantViolation
+from .errors import EmptyMapError, InternalInvariantViolation, _Value
 from .maps import RibbonMap, _bfs_order
 
 
-@dataclass(frozen=True)
-class DartBijection:
+class DartBijection(_Value):
     """dart d of the source map corresponds to dart ``mapping[d]``."""
 
-    mapping: tuple
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: tuple):
+        object.__setattr__(self, "mapping", mapping)
 
     def __call__(self, dart: int) -> int:
         return self.mapping[dart]

@@ -12,17 +12,17 @@ stands for the sphere and counts one face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InternalInvariantViolation, PreconditionError
+from .errors import InternalInvariantViolation, PreconditionError, _Value
 from .maps import DartRef, RibbonMap, _from_dart_rows, _orbits
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Value):
     """One phi-orbit; ``darts`` starts at the orbit's smallest dart."""
 
-    darts: tuple
+    __slots__ = ("darts",)
+
+    def __init__(self, darts: tuple):
+        object.__setattr__(self, "darts", darts)
 
     def __len__(self):
         return len(self.darts)
@@ -32,14 +32,19 @@ class Face:
         return tuple(DartRef(labels[d >> 1], -1 if d & 1 else 1) for d in self.darts)
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    num_vertices: int
-    num_edges: int
-    num_faces: int
-    euler_characteristic: int
-    genus: int
-    face_words: tuple
+class SurfaceReport(_Value):
+    __slots__ = ("num_vertices", "num_edges", "num_faces",
+                 "euler_characteristic", "genus", "face_words")
+
+    def __init__(self, num_vertices: int, num_edges: int, num_faces: int,
+                 euler_characteristic: int, genus: int, face_words: tuple):
+        set_field = object.__setattr__
+        set_field(self, "num_vertices", num_vertices)
+        set_field(self, "num_edges", num_edges)
+        set_field(self, "num_faces", num_faces)
+        set_field(self, "euler_characteristic", euler_characteristic)
+        set_field(self, "genus", genus)
+        set_field(self, "face_words", face_words)
 
 
 def face_successor(ribbon_map: RibbonMap, dart: int) -> int:

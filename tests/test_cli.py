@@ -430,16 +430,37 @@ def test_largest_classify_is_served(tmp_path):
     assert run("classify", str(path)).startswith(f"genus: {edges // 4}\n")
 
 
-def test_module_runs_as_a_script():
-    # python -m ribbonsurf.cli runs main(), as the installed script does.
+def script(*argv, **streams):
+    """``python -m ribbonsurf.cli *argv`` in a subprocess; it runs main(), as
+    the installed script does."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "ribbonsurf.cli", "petal", "1"],
-                          capture_output=True, text=True, env=env, check=False)
+    return subprocess.run([sys.executable, "-m", "ribbonsurf.cli", *argv],
+                          text=True, env=env, check=False, **streams)
+
+
+def test_module_runs_as_a_script():
+    done = script("petal", "1", capture_output=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.rstrip("\n") == run("petal", "1").rstrip("\n")
     assert json.loads(done.stdout)["name"] == "petal_1"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("cayley", "--group", "zxz", "--radius", "2"), 0),
+    (("trivial", "--group", "free:101", "ab"), 1),
+])
+def test_closed_output_pipe_keeps_the_exit_code_and_prints_no_traceback(argv, code):
+    # The read end is closed before the spawn, so the answer's write fails
+    # with a broken pipe every time, not only when a reader leaves early.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = script(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 def test_stdin_input(monkeypatch, capsys):

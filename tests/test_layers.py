@@ -4,11 +4,16 @@ The map layer (errors, maps, surfaces, classify, iso, io) imports nothing
 from the group layer (groups, cayley); the group layer imports no map-layer
 module above surfaces; and no library module imports the CLI.  Inside the
 library, darts a map produced are read from its arrays, not through the
-checked accessors that serve outside callers.
+checked accessors that serve outside callers.  The value types need no
+``dataclasses``, so importing the package and its CLI loads neither it nor
+``inspect``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import ribbonsurf
 from ribbonsurf import (
@@ -89,3 +94,31 @@ def test_library_reads_its_own_darts_without_checked_accessors(monkeypatch):
     commutator, constant = DiscretePath((0, 2, 1, 3)), DiscretePath(start=0)
     assert homotopic(petal(1), commutator, constant)
     assert not homotopic(petal(2), commutator, constant)
+
+
+def stdlib_imports(source: str) -> set:
+    """Top-level names of the absolute imports in the module ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    source = ("from dataclasses import dataclass\nimport dataclasses as dc\n"
+              "from . import io\nimport os.path\n")
+    assert stdlib_imports(source) == {"dataclasses", "os"}
+    for path in SRC.glob("*.py"):
+        assert "dataclasses" not in stdlib_imports(path.read_text()), path.name
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, ribbonsurf, ribbonsurf.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
